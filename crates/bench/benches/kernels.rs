@@ -110,12 +110,11 @@ fn bench_conv_stack_density(c: &mut Criterion) {
     group.finish();
 }
 
-/// One streamed adoption event vs. rebuilding the spectral operator from
-/// scratch — the `/observe` economics. The incremental arm pays a state
-/// clone plus one `push_child` (rank-1 teleport fix-up + warm-started
-/// power iteration); the cold arm pays full `from_graph` preprocessing.
-/// The gap is the reason the live registry exists, so it stays visible in
-/// CI output.
+/// One streamed adoption event vs. registering the cascade from scratch —
+/// the `/observe` economics. The incremental arm pays a state clone plus
+/// one `push_child`; the cold arm pays `from_graph`. Both run the same
+/// sparse builder, so the arms should match: a gap opening up here means
+/// the streaming path grew work of its own.
 fn bench_incremental_vs_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("observe_update");
     for n in [20usize, 80, 160] {

@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the spectral machinery: CasLaplacian construction,
-//! exact λ_max vs. the ≈2 shortcut (the Table V cost trade-off), and
-//! Chebyshev basis expansion as K grows (the Table V "bigger K costs more"
-//! claim).
+//! Micro-benchmarks of the spectral machinery: the sparse spectral basis
+//! builder (φ, λ_max and the scaled operator from the edge list), exact
+//! λ_max vs. the ≈2 shortcut (the Table V cost trade-off), and Chebyshev
+//! basis expansion as K grows (the Table V "bigger K costs more" claim).
 
-use cascn_graph::{laplacian, DiGraph};
+use cascn_graph::{laplacian, DiGraph, SpectralBasis};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,15 +19,15 @@ fn random_cascade(n: usize, seed: u64) -> DiGraph {
     g
 }
 
-fn bench_cas_laplacian(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cas_laplacian");
+fn bench_spectral_basis(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spectral_basis");
     for &n in &[10usize, 30, 100] {
         let g = random_cascade(n, 7);
         group.bench_with_input(BenchmarkId::new("directed", n), &g, |b, g| {
-            b.iter(|| laplacian::cas_laplacian(std::hint::black_box(g), 0.85))
+            b.iter(|| SpectralBasis::directed(std::hint::black_box(g), 0.85, None, 2))
         });
         group.bench_with_input(BenchmarkId::new("undirected", n), &g, |b, g| {
-            b.iter(|| laplacian::undirected_normalized_laplacian(std::hint::black_box(g)))
+            b.iter(|| SpectralBasis::undirected(std::hint::black_box(g), None, 2))
         });
     }
     group.finish();
@@ -37,10 +37,11 @@ fn bench_lambda_max(c: &mut Criterion) {
     let mut group = c.benchmark_group("lambda_max");
     for &n in &[10usize, 30, 100] {
         let g = random_cascade(n, 11);
-        let lap = laplacian::cas_laplacian(&g, 0.85);
-        group.bench_with_input(BenchmarkId::new("exact_power_iteration", n), &lap, |b, lap| {
-            b.iter(|| laplacian::largest_eigenvalue(std::hint::black_box(lap)))
-        });
+        for (name, pin) in [("exact_power_iteration", None), ("approx_2", Some(2.0))] {
+            group.bench_with_input(BenchmarkId::new(name, n), &g, |b, g| {
+                b.iter(|| SpectralBasis::directed(std::hint::black_box(g), 0.85, pin, 2))
+            });
+        }
     }
     group.finish();
 }
@@ -48,8 +49,7 @@ fn bench_lambda_max(c: &mut Criterion) {
 fn bench_chebyshev(c: &mut Criterion) {
     let mut group = c.benchmark_group("chebyshev_bases");
     let g = random_cascade(30, 13);
-    let lap = laplacian::cas_laplacian(&g, 0.85);
-    let scaled = laplacian::scale_laplacian(&lap, laplacian::largest_eigenvalue(&lap));
+    let scaled = SpectralBasis::directed(&g, 0.85, None, 2).scaled_dense();
     for k in [1usize, 2, 3, 5] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| laplacian::chebyshev_bases(std::hint::black_box(&scaled), k))
@@ -58,5 +58,5 @@ fn bench_chebyshev(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cas_laplacian, bench_lambda_max, bench_chebyshev);
+criterion_group!(benches, bench_spectral_basis, bench_lambda_max, bench_chebyshev);
 criterion_main!(benches);

@@ -11,8 +11,10 @@
 //!
 //! `--check` additionally gates the run against the checked-in
 //! `bench-baseline.json` (the perf analogue of the `lint-baseline.json`
-//! ratchet): hard machine-independent gates on `sparse_speedup` and
-//! `accuracy_delta`, and generous ratio bands on the wall-clock numbers so
+//! ratchet): hard machine-independent gates on `sparse_speedup`,
+//! `accuracy_delta`, next-user Hit@10 and the exact φ counts (no
+//! non-converged stationary distribution, a cap on the rounds any one
+//! takes), and generous ratio bands on the wall-clock numbers so
 //! only catastrophic regressions (a kernel silently falling back to the
 //! dense path, preprocessing re-materializing bases) trip CI rather than
 //! scheduler noise.
@@ -26,6 +28,7 @@ use cascn::{
 use cascn_autograd::Tape;
 use cascn_cascades::synth::{WeiboConfig, WeiboGenerator};
 use cascn_cascades::{Cascade, Dataset, Split};
+use cascn_graph::laplacian;
 use cascn_nn::{metrics, ChebOperands};
 use cascn_tensor::Matrix;
 
@@ -139,6 +142,19 @@ struct Record {
     accuracy_delta: f64,
     next_user_hit10: f64,
     next_user_map: f64,
+    phi_nonconverged: usize,
+    phi_rounds_max: usize,
+}
+
+/// Exact φ counts over the observed graph of every workload cascade, under
+/// the production stopping rule: how many stationary distributions ended
+/// without the rule firing, and the most rounds any one took.
+fn phi_counts(cascades: &[Cascade], alpha: f32) -> (usize, usize) {
+    cascades.iter().fold((0, 0), |(nonconverged, rounds), c| {
+        let p = laplacian::transition_matrix(&c.observe(WINDOW).graph(), alpha);
+        let out = laplacian::stationary_distribution_checked(&p);
+        (nonconverged + usize::from(!out.converged), rounds.max(out.iterations))
+    })
 }
 
 fn measure() -> Record {
@@ -260,6 +276,8 @@ fn measure() -> Record {
     let next_user_hit10 = f64::from(metrics::hit_at_k(&ranks, 10));
     let next_user_map = f64::from(metrics::mean_average_precision(&ranks));
 
+    let (phi_nonconverged, phi_rounds_max) = phi_counts(&data.cascades, sparse_cfg.alpha);
+
     Record {
         preprocess_cascades_per_s,
         epoch_seconds,
@@ -272,6 +290,8 @@ fn measure() -> Record {
         accuracy_delta,
         next_user_hit10,
         next_user_map,
+        phi_nonconverged,
+        phi_rounds_max,
     }
 }
 
@@ -301,7 +321,9 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
     let _ = writeln!(out, "  \"accuracy_delta\": {:e},", r.accuracy_delta);
     let _ = writeln!(out, "  \"next_user_hit10\": {:.4},", r.next_user_hit10);
-    let _ = writeln!(out, "  \"next_user_map\": {:.4}", r.next_user_map);
+    let _ = writeln!(out, "  \"next_user_map\": {:.4},", r.next_user_map);
+    let _ = writeln!(out, "  \"phi_nonconverged\": {},", r.phi_nonconverged);
+    let _ = writeln!(out, "  \"phi_rounds_max\": {}", r.phi_rounds_max);
     let _ = writeln!(out, "}}");
     out
 }
@@ -347,6 +369,20 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         failures.push(format!(
             "next_user_hit10 {:.4} < required {min_hit10:.4} (masked ranking head regressed)",
             r.next_user_hit10
+        ));
+    }
+    let max_nonconverged = num("max_phi_nonconverged")?;
+    if r.phi_nonconverged as f64 > max_nonconverged {
+        failures.push(format!(
+            "phi_nonconverged {} > allowed {max_nonconverged} (φ stopping rule no longer fires)",
+            r.phi_nonconverged
+        ));
+    }
+    let max_rounds = num("max_phi_rounds")?;
+    if r.phi_rounds_max as f64 > max_rounds {
+        failures.push(format!(
+            "phi_rounds_max {} > allowed {max_rounds} (φ iteration slowed down)",
+            r.phi_rounds_max
         ));
     }
 

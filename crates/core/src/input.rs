@@ -5,7 +5,7 @@
 
 use cascn_autograd::Tape;
 use cascn_cascades::{Cascade, CascadeFault, Event};
-use cascn_graph::{laplacian, DiGraph, IncrementalSpectral, SpectralBasis};
+use cascn_graph::{DiGraph, IncrementalSpectral, SpectralBasis};
 use cascn_nn::ChebOperands;
 use cascn_tensor::Matrix;
 
@@ -76,10 +76,7 @@ pub fn spectral_basis(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> Spec
         // every entry), so it is kept as sparse-core + rank-1 teleport
         // instead of a materialized matrix.
         LaplacianKind::Directed => SpectralBasis::directed(&g, cfg.alpha, lambda_max, cfg.k),
-        LaplacianKind::Undirected => {
-            let lap = laplacian::undirected_normalized_laplacian(&g);
-            SpectralBasis::from_laplacian(&lap, lambda_max, cfg.k)
-        }
+        LaplacianKind::Undirected => SpectralBasis::undirected(&g, lambda_max, cfg.k),
     }
 }
 
@@ -173,9 +170,10 @@ fn assemble_with(
 
 /// Streaming preprocessor for one growing cascade.
 ///
-/// Keeps the cascade's spectral state warm across appended adoption events
-/// and overlapping observation windows: the directed operator advances via
-/// [`IncrementalSpectral::push_child`] instead of a cold rebuild, and
+/// Keeps the cascade's spectral state resident across appended adoption
+/// events and overlapping observation windows: the directed operator
+/// advances via [`IncrementalSpectral::push_child`] without rebuilding the
+/// observed graph from the cascade, and
 /// materialized dense Chebyshev `T_k` blocks persist until an observed event
 /// actually invalidates them (a push-style refresh at window crossings —
 /// events beyond the window touch only the label side, so the spectral
@@ -183,8 +181,8 @@ fn assemble_with(
 ///
 /// Parity contract (tested here and in the workspace property suite):
 /// [`WindowedPreprocessor::current`] matches [`preprocess`] on the same
-/// `(cascade, window, cfg)` — snapshots, times and labels bit-identical,
-/// the operator within the streaming tolerance (`5e-4` on predictions).
+/// `(cascade, window, cfg)` bit for bit: snapshots, times, labels and the
+/// operator, which streaming builds with the cold spectral builder.
 pub struct WindowedPreprocessor {
     cascade: Cascade,
     cfg: CascnConfig,
@@ -226,8 +224,9 @@ impl WindowedPreprocessor {
         self.nodes()
     }
 
-    /// Cold restarts taken by the incremental φ iteration (0 for the
-    /// undirected variant, which has no warm path).
+    /// φ computations of the incremental state that ended without the
+    /// stopping rule firing (0 for the undirected variant, which keeps no
+    /// incremental state).
     pub fn warm_fallbacks(&self) -> u64 {
         self.spectral.as_ref().map_or(0, IncrementalSpectral::warm_fallbacks)
     }
@@ -581,16 +580,6 @@ mod tests {
         assert_eq!(basis.order(), small.k);
     }
 
-    /// Entrywise operator distance between two bases of equal dimension.
-    fn basis_gap(a: &SpectralBasis, b: &SpectralBasis) -> f32 {
-        let (da, db) = (a.scaled_dense(), b.scaled_dense());
-        da.as_slice()
-            .iter()
-            .zip(db.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max)
-    }
-
     fn assert_matches_cold(p: &PreprocessedCascade, cascade: &Cascade, window: f64, c: &CascnConfig) {
         let cold = preprocess(cascade, window, c);
         assert_eq!(p.n, cold.n);
@@ -599,19 +588,9 @@ mod tests {
         for (a, b) in p.snapshots.iter().zip(&cold.snapshots) {
             assert_eq!(a.as_slice(), b.as_slice(), "snapshots must be bit-identical");
         }
-        let gap = basis_gap(&p.basis, &cold.basis);
-        assert!(gap < 5e-4, "operator drifted from cold preprocessing: {gap}");
-        if let (Some(warm), Some(cold_b)) = (&p.dense_bases, &cold.dense_bases) {
-            for (wm, cm) in warm.iter().zip(cold_b) {
-                let g = wm
-                    .as_slice()
-                    .iter()
-                    .zip(cm.as_slice())
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f32, f32::max);
-                assert!(g < 5e-4, "dense T_k block drifted: {g}");
-            }
-        }
+        // The streamed operator runs the cold builder: exact parity.
+        assert_eq!(p.basis, cold.basis, "operator drifted from cold preprocessing");
+        assert_eq!(p.dense_bases, cold.dense_bases, "dense T_k blocks drifted");
     }
 
     #[test]
@@ -628,7 +607,7 @@ mod tests {
             assert_matches_cold(&wp.current(), &snapshot, window, &cfg());
         }
         assert_eq!(wp.num_nodes(), 6);
-        assert_eq!(wp.warm_fallbacks(), 0, "healthy tree never needs a cold restart");
+        assert_eq!(wp.warm_fallbacks(), 0, "φ converges on every healthy tree");
     }
 
     #[test]

@@ -12,43 +12,21 @@ use crate::DiGraph;
 /// irreducible as the equation requires.
 pub const DEFAULT_ALPHA: f32 = 0.85;
 
-/// Builds the cascade transition matrix of Eq. 7:
-/// `P_c = (1 − α)·E/n + α·D⁻¹W`.
-///
-/// Rows whose out-degree is zero (cascade leaves) receive a self-loop before
-/// normalization — the same fix the paper applies to the cascade initiator in
-/// Section IV-A — so `D⁻¹` is always defined.
-///
-/// # Panics
-/// Panics if the graph has no nodes or `alpha` is outside `(0, 1)`.
-pub fn transition_matrix(g: &DiGraph, alpha: f32) -> Matrix {
-    assert!(g.node_count() > 0, "transition_matrix: empty graph");
-    assert!(
-        alpha > 0.0 && alpha < 1.0,
-        "transition_matrix: alpha must be in (0,1), got {alpha}"
-    );
-    let n = g.node_count();
-    let mut w = g.adjacency();
-    let deg = g.weighted_out_degrees();
-    for (i, &d) in deg.iter().enumerate() {
-        // lint: allow(float-eq) — dangling nodes have an exactly-zero out-degree by construction
-        if d == 0.0 {
-            w[(i, i)] = 1.0; // self-loop for dangling nodes
-        }
-    }
-    let teleport = (1.0 - alpha) / n as f32;
-    let mut p = Matrix::full(n, n, teleport);
-    for r in 0..n {
-        let row_sum: f32 = w.row(r).iter().sum();
-        for c in 0..n {
-            p[(r, c)] += alpha * w[(r, c)] / row_sum;
-        }
-    }
-    p
-}
-
 /// Iteration cap of the stationary-distribution power iteration.
-pub(crate) const STATIONARY_MAX_ITERS: usize = 10_000;
+const STATIONARY_MAX_ITERS: usize = 10_000;
+
+/// Iteration cap of the λ_max power iteration.
+const LAMBDA_MAX_ITERS: usize = 200;
+
+/// The stopping rule every power iteration in this module shares, fitted to
+/// the f32 results they return: the change between successive iterates is
+/// at most `4·ε·scale`, where `ε` is [`f32::EPSILON`] and `scale` the
+/// iterate's magnitude (the largest φ entry, or |λ|). An absolute tolerance
+/// below f32 resolution can never fire once the iterate settles into a
+/// ±1-ULP cycle, and then burns the whole round budget.
+fn settled(delta: f64, scale: f64) -> bool {
+    delta <= 4.0 * f64::from(f32::EPSILON) * scale
+}
 
 /// What the stationary-distribution power iteration actually did — callers
 /// on the preprocessing hot path need to distinguish a converged φ from a
@@ -58,7 +36,8 @@ pub struct StationaryOutcome {
     /// The distribution: converged φ, the last iterate, or uniform when
     /// `fallback` is set. Always finite with entries summing to ~1.
     pub phi: Vec<f32>,
-    /// Whether the iteration reached the `1e-10` max-norm tolerance.
+    /// Whether the f32 stopping rule fired: the max-norm change of the last
+    /// round is at most `4·ε·max φ`.
     pub converged: bool,
     /// Whether a non-finite `P` or a degenerate (NaN/Inf/zero/negative)
     /// normalizer forced the uniform-distribution fallback.
@@ -67,320 +46,352 @@ pub struct StationaryOutcome {
     pub iterations: usize,
 }
 
-/// Solves `φᵀ P = φᵀ` with `φᵀe = 1` by power iteration (step 3 of
-/// Algorithm 1), reporting convergence and degeneracy explicitly.
+impl StationaryOutcome {
+    fn uniform_fallback(n: usize, iterations: usize) -> Self {
+        Self { phi: vec![1.0 / n as f32; n], converged: false, fallback: true, iterations }
+    }
+}
+
+/// The one φ power iteration behind every stationary distribution in this
+/// crate: `φ ← normalize(step(φ))` from the uniform start until [`settled`]
+/// fires, falling back to uniform on a degenerate normalizer. `step`
+/// computes `Pᵀφ` for whatever storage the caller has.
 ///
-/// `P` should be row-stochastic and irreducible (which Eq. 7 guarantees);
-/// convergence is then geometric. Inputs that violate that contract — a
-/// NaN-poisoned `P`, or one whose iterate normalizer becomes non-finite or
-/// non-positive — do **not** poison the result: the uniform distribution is
-/// returned with `fallback` set, so `cas_laplacian` and every Chebyshev
-/// basis built from it stay finite.
+/// The iterate is carried in f64 and rounded to f32 once at the end. In
+/// f32 the normalizer's rounding error grows with `n` and keeps the iterate
+/// cycling a few ULP wide — about 5 ULP of `max φ` on a 100-leaf star,
+/// above the rule's threshold — whereas f64 noise sits far below it, so
+/// the rule fires exactly when the f32 result has settled.
+///
+/// From the uniform start the iterate of an Eq. 7 matrix over a cascade
+/// tree reaches its fixed point in depth + 1 rounds in exact arithmetic
+/// (the error is `(αMᵀ)ᵗ` applied to a vector whose leaf mass stops
+/// changing after `depth` rounds), so a rule at f32 resolution gives up
+/// nothing.
+fn power_iterate(n: usize, mut step: impl FnMut(&[f64]) -> Vec<f64>) -> StationaryOutcome {
+    let mut phi = vec![1.0 / n as f64; n];
+    let rounded = |phi: Vec<f64>| phi.into_iter().map(|x| x as f32).collect();
+    for it in 1..=STATIONARY_MAX_ITERS {
+        let mut next = step(&phi);
+        let sum: f64 = next.iter().sum();
+        if !sum.is_finite() || sum <= 0.0 {
+            // Overflow/underflow mid-iteration: normalizing by this sum
+            // would spread NaN/Inf into φ and from there into the
+            // CasLaplacian. Give up on this P instead.
+            return StationaryOutcome::uniform_fallback(n, it);
+        }
+        for x in &mut next {
+            *x /= sum;
+        }
+        let delta = phi.iter().zip(&next).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+        let top = next.iter().copied().fold(0.0, f64::max);
+        phi = next;
+        if settled(delta, top) {
+            let phi = rounded(phi);
+            return StationaryOutcome { phi, converged: true, fallback: false, iterations: it };
+        }
+    }
+    let phi = rounded(phi);
+    StationaryOutcome { phi, converged: false, fallback: false, iterations: STATIONARY_MAX_ITERS }
+}
+
+/// `Aᵀ·x` accumulated in f64 over an f32 CSR matrix.
+fn spmv_transpose_f64(a: &Csr, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0f64; a.cols()];
+    for (r, &xr) in x.iter().enumerate() {
+        for &(c, v) in a.row(r) {
+            y[c] += f64::from(v) * xr;
+        }
+    }
+    y
+}
+
+/// Solves `φᵀ P = φᵀ` with `φᵀe = 1` for a dense transition matrix (step 3
+/// of Algorithm 1), reporting convergence and degeneracy explicitly — an
+/// adapter onto the same loop and stopping rule the sparse builders use.
+///
+/// `P` should be row-stochastic and irreducible (which Eq. 7 guarantees).
+/// Inputs that violate that contract — a NaN-poisoned `P`, or one whose
+/// iterate normalizer becomes non-finite or non-positive — do **not**
+/// poison the result: the uniform distribution is returned with `fallback`
+/// set, so every Laplacian built from it stays finite.
 ///
 /// # Panics
 /// Panics if `p` is not square or empty.
 pub fn stationary_distribution_checked(p: &Matrix) -> StationaryOutcome {
     assert_eq!(p.rows(), p.cols(), "stationary_distribution: non-square P");
     assert!(p.rows() > 0, "stationary_distribution: empty P");
-    let n = p.rows();
-    let uniform = vec![1.0 / n as f32; n];
     if !p.all_finite() {
-        return StationaryOutcome {
-            phi: uniform,
-            converged: false,
-            fallback: true,
-            iterations: 0,
-        };
-    }
-    // Route the iteration through the shared CSR kernel: `φᵀP` is
-    // `Pᵀ·φ`, and `spmv_transpose` scatters in the same ascending-(r, c)
-    // order (with the same exact-zero φ-entry skip) as the hand-rolled loop
-    // this replaces, so results are bit-identical. Eq. 7 matrices are fully
-    // dense (positive teleport everywhere), but sparse callers get the
-    // nnz-proportional cost for free.
-    let pt = Csr::from_dense(p);
-    power_iterate(&pt, uniform.clone(), &uniform)
-}
-
-/// The shared power-iteration loop behind the cold and warm stationary
-/// paths: iterate `φ ← normalize(Pᵀφ)` from `start` until the max-norm
-/// delta drops below `1e-10`, falling back to `uniform` on a degenerate
-/// normalizer. The cold path passes `start = uniform`, keeping its results
-/// bit-identical to the pre-refactor loop.
-fn power_iterate(pt: &Csr, start: Vec<f32>, uniform: &[f32]) -> StationaryOutcome {
-    let mut phi = start;
-    let mut converged = false;
-    let mut iterations = 0;
-    for it in 0..STATIONARY_MAX_ITERS {
-        iterations = it + 1;
-        let mut next = pt.spmv_transpose(&phi);
-        let sum: f32 = next.iter().sum();
-        if !sum.is_finite() || sum <= 0.0 {
-            // Overflow/underflow mid-iteration: normalizing by this sum
-            // would spread NaN/Inf into φ and from there into the
-            // CasLaplacian. Give up on this P instead.
-            return StationaryOutcome {
-                phi: uniform.to_vec(),
-                converged: false,
-                fallback: true,
-                iterations,
-            };
-        }
-        for x in &mut next {
-            *x /= sum;
-        }
-        let delta: f32 = phi
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
-        std::mem::swap(&mut phi, &mut next);
-        if delta < 1e-10 {
-            converged = true;
-            break;
-        }
-    }
-    StationaryOutcome {
-        phi,
-        converged,
-        fallback: false,
-        iterations,
-    }
-}
-
-/// Mixing weight pulling a warm-start seed off the probability-simplex
-/// boundary: `seed' = (1 − ε)·seed/Σseed + ε·uniform`.
-///
-/// A seed with exact-zero entries is a trap for the power iteration:
-/// `spmv_transpose` skips zero input entries, so coordinates a previous φ
-/// left at zero can never receive mass from themselves, and on reducible or
-/// periodic `P` the iterate sticks to (or oscillates on) the simplex
-/// boundary instead of converging to the cold path's answer. The ε-mix
-/// keeps every coordinate strictly positive.
-const WARM_SEED_MIX: f32 = 1e-3;
-
-/// [`stationary_distribution_checked`] warm-started from a previous
-/// stationary distribution — the single-event update path of the streaming
-/// spectral layer, where the new φ is one rank-1 perturbation away from the
-/// seed and typically converges in a handful of rounds.
-///
-/// The seed is sanitized before use (non-finite and non-positive entries
-/// are zeroed, then the vector is renormalized and ε-mixed with the uniform
-/// distribution — see [`WARM_SEED_MIX`]); an unusable seed degrades to the
-/// uniform start. If the warm iteration fails to converge, the result is
-/// discarded and the cold path ([`stationary_distribution_checked`]) is
-/// returned instead, so a bad seed can slow this function down but never
-/// change what it converges to.
-///
-/// # Panics
-/// Panics if `p` is not square or empty, or `seed.len() != p.rows()`.
-pub fn stationary_distribution_warm(p: &Matrix, seed: &[f32]) -> StationaryOutcome {
-    assert_eq!(p.rows(), p.cols(), "stationary_distribution: non-square P");
-    assert!(p.rows() > 0, "stationary_distribution: empty P");
-    assert_eq!(seed.len(), p.rows(), "stationary_distribution_warm: seed length mismatch");
-    let n = p.rows();
-    let uniform = vec![1.0 / n as f32; n];
-    if !p.all_finite() {
-        return StationaryOutcome {
-            phi: uniform,
-            converged: false,
-            fallback: true,
-            iterations: 0,
-        };
+        return StationaryOutcome::uniform_fallback(p.rows(), 0);
     }
     let pt = Csr::from_dense(p);
-    let warm = power_iterate(&pt, sanitize_warm_seed(seed, n), &uniform);
-    if warm.converged {
-        return warm;
-    }
-    // Checked fallback: the warm iterate went nowhere (periodic or
-    // reducible P can cycle forever from a boundary-adjacent seed), so pay
-    // for the cold start rather than return a seed-dependent answer.
-    let mut cold = stationary_distribution_checked(p);
-    cold.iterations += warm.iterations;
-    cold
+    power_iterate(p.rows(), |phi| spmv_transpose_f64(&pt, phi))
 }
 
-/// Clamps, renormalizes, and ε-mixes a warm-start seed (see
-/// [`WARM_SEED_MIX`]); returns the uniform distribution when nothing
-/// usable survives sanitization.
-pub(crate) fn sanitize_warm_seed(seed: &[f32], n: usize) -> Vec<f32> {
-    let mut s: Vec<f32> = seed
-        .iter()
-        .map(|&x| if x.is_finite() && x > 0.0 { x } else { 0.0 })
-        .collect();
-    let sum: f32 = s.iter().sum();
-    if !sum.is_finite() || sum <= 0.0 {
-        return vec![1.0 / n as f32; n];
+/// The random-walk part `α·D⁻¹W` of Eq. 7 in CSR form, over the
+/// self-loop-patched adjacency (parallel edges summed, exact-zero weights
+/// dropped, dangling rows given the self-loop `α`). `O(nnz + n)`; together
+/// with the uniform teleport `(1 − α)/n` it is all of `P_c`.
+fn walk_matrix(g: &DiGraph, alpha: f32) -> Csr {
+    let n = g.node_count();
+    let mut rows = merged_rows(n, g.edges());
+    for (r, row) in rows.iter_mut().enumerate() {
+        let row_sum: f32 = row.iter().map(|&(_, w)| w).sum();
+        // lint: allow(float-eq) — dangling nodes have an exactly-zero out-degree by construction
+        if row_sum == 0.0 {
+            *row = vec![(r, alpha)];
+        } else {
+            for e in row.iter_mut() {
+                e.1 = alpha * e.1 / row_sum;
+            }
+        }
     }
-    let mix = WARM_SEED_MIX / n as f32;
-    for x in &mut s {
-        *x = (1.0 - WARM_SEED_MIX) * (*x / sum) + mix;
-    }
-    s
+    Csr::from_rows(n, &rows)
 }
 
-/// [`stationary_distribution_checked`] collapsed to the distribution alone,
-/// warning on stderr when the result is a fallback or unconverged — the
-/// compatibility surface for callers that only need φ.
-///
-/// # Panics
-/// Panics if `p` is not square or empty.
-pub fn stationary_distribution(p: &Matrix) -> Vec<f32> {
-    let out = stationary_distribution_checked(p);
-    if out.fallback {
-        eprintln!(
-            "warning: stationary_distribution: degenerate or non-finite P \
-             ({}x{}); falling back to the uniform distribution",
-            p.rows(),
-            p.cols()
-        );
-    } else if !out.converged {
-        // Benign slow convergence can recur on every cascade of a training
-        // run; report it once per process instead of flooding stderr.
-        static NONCONVERGENCE_WARNED: std::sync::Once = std::sync::Once::new();
-        NONCONVERGENCE_WARNED.call_once(|| {
-            eprintln!(
-                "warning: stationary_distribution: power iteration did not \
-                 converge within {STATIONARY_MAX_ITERS} rounds; using the last \
-                 iterate (reported once; callers needing per-matrix outcomes \
-                 should use stationary_distribution_checked)"
-            );
+/// Per-row `(column, weight)` lists from `(row, column, weight)` triples:
+/// columns ascending, duplicates summed in insertion order, exact zeros
+/// dropped.
+fn merged_rows(
+    n: usize,
+    entries: impl Iterator<Item = (usize, usize, f32)>,
+) -> Vec<Vec<(usize, f32)>> {
+    let mut rows: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
+    for (r, c, w) in entries {
+        rows[r].push((c, w));
+    }
+    for row in &mut rows {
+        // Stable sort, so duplicates sum in insertion order.
+        row.sort_by_key(|&(c, _)| c);
+        row.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
         });
+        // lint: allow(float-eq) — exact-zero sparsity test: only true zeros are dropped
+        row.retain(|&(_, w)| w != 0.0);
     }
-    out.phi
+    rows
 }
 
-/// Computes the CasLaplacian of Eq. 8 / Algorithm 1:
+/// Inserts `(r, value)` into row `r` (columns ascending) unless the row
+/// already stores a diagonal entry.
+fn ensure_diagonal(row: &mut Vec<(usize, f32)>, r: usize, value: f32) {
+    if let Err(pos) = row.binary_search_by_key(&r, |&(c, _)| c) {
+        row.insert(pos, (r, value));
+    }
+}
+
+fn check_transition_args(g: &DiGraph, alpha: f32) {
+    assert!(g.node_count() > 0, "transition_matrix: empty graph");
+    assert!(
+        alpha > 0.0 && alpha < 1.0,
+        "transition_matrix: alpha must be in (0,1), got {alpha}"
+    );
+}
+
+/// The stationary distribution φ of the cascade's Eq. 7 transition matrix,
+/// computed over the adjacency lists in `O(nnz)` per round without forming
+/// `P_c` — the φ every [`SpectralBasis::directed`] operator is built from.
+///
+/// # Panics
+/// Panics if the graph is empty or `alpha` is outside `(0, 1)`.
+pub fn stationary(g: &DiGraph, alpha: f32) -> StationaryOutcome {
+    check_transition_args(g, alpha);
+    walk_stationary(&walk_matrix(g, alpha), alpha)
+}
+
+fn walk_stationary(walk: &Csr, alpha: f32) -> StationaryOutcome {
+    let n = walk.rows();
+    let teleport = f64::from(1.0 - alpha) / n as f64;
+    power_iterate(n, |phi| {
+        let mass = teleport * phi.iter().sum::<f64>();
+        let mut next = spmv_transpose_f64(walk, phi);
+        for x in &mut next {
+            *x += mass;
+        }
+        next
+    })
+}
+
+/// The unscaled directed CasLaplacian `Δ_c = Φ^{1/2}(I − P_c)Φ^{-1/2}` of
+/// Eq. 8 as a sparse core plus the rank-1 teleport term
+/// `−(1−α)/n · s·(1/s)ᵀ` with `s = φ^{1/2}`, together with the φ outcome it
+/// was built from. The core holds `s_r·(δ_rc − a_rc)/s_c` for each walk
+/// entry `a_rc` plus an explicit diagonal on every row, so its structure
+/// depends on the graph alone.
+fn directed_laplacian(g: &DiGraph, alpha: f32) -> (SparseOp, StationaryOutcome) {
+    check_transition_args(g, alpha);
+    let walk = walk_matrix(g, alpha);
+    let outcome = walk_stationary(&walk, alpha);
+    let n = walk.rows();
+    let s: Vec<f32> = outcome.phi.iter().map(|&x| x.max(1e-12).sqrt()).collect();
+    let rows: Vec<Vec<(usize, f32)>> = (0..n)
+        .map(|r| {
+            let mut entries: Vec<(usize, f32)> = walk
+                .row(r)
+                .iter()
+                .map(|&(c, a)| (c, if r == c { 1.0 - a } else { -(s[r] * a / s[c]) }))
+                .collect();
+            ensure_diagonal(&mut entries, r, 1.0);
+            entries
+        })
+        .collect();
+    let v: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
+    let teleport = (1.0 - alpha) / n as f32;
+    let op = SparseOp::new(Csr::from_rows(n, &rows), Some((-teleport, s, v)));
+    (op, outcome)
+}
+
+/// Builds the cascade transition matrix of Eq. 7 densely:
+/// `P_c = (1 − α)·E/n + α·D⁻¹W`.
+///
+/// Rows whose out-degree is zero (cascade leaves) receive a self-loop before
+/// normalization — the same fix the paper applies to the cascade initiator in
+/// Section IV-A — so `D⁻¹` is always defined. The spectral pipeline never
+/// forms this matrix (see [`stationary`] and [`SpectralBasis::directed`]);
+/// it is the reference form for tests and diagnostics.
+///
+/// # Panics
+/// Panics if the graph has no nodes or `alpha` is outside `(0, 1)`.
+pub fn transition_matrix(g: &DiGraph, alpha: f32) -> Matrix {
+    check_transition_args(g, alpha);
+    let n = g.node_count();
+    let mut p = Matrix::full(n, n, (1.0 - alpha) / n as f32);
+    let walk = walk_matrix(g, alpha);
+    for r in 0..n {
+        for &(c, a) in walk.row(r) {
+            p[(r, c)] += a;
+        }
+    }
+    p
+}
+
+/// The CasLaplacian of Eq. 8 / Algorithm 1 as a dense matrix:
 /// `Δ_c = Φ^{1/2} (I − P_c) Φ^{-1/2}` with `Φ = diag(φ)`.
 ///
 /// Unlike the undirected normalized Laplacian (Eq. 9), `Δ_c` preserves the
 /// directionality of the cascade — the property Table IV's
-/// `CasCN-Undirected` ablation shows to matter.
+/// `CasCN-Undirected` ablation shows to matter. This is the dense form of
+/// the operator [`SpectralBasis::directed`] scales, for tests and
+/// diagnostics.
 pub fn cas_laplacian(g: &DiGraph, alpha: f32) -> Matrix {
-    let p = transition_matrix(g, alpha);
-    let phi = stationary_distribution(&p);
-    cas_laplacian_from(&p, &phi)
-}
-
-/// [`cas_laplacian`] from an already-computed transition matrix and
-/// stationary distribution (the operator builder shares both with the dense
-/// path, so λ_max estimation sees the identical matrix).
-fn cas_laplacian_from(p: &Matrix, phi: &[f32]) -> Matrix {
-    let n = p.rows();
-    let mut lap = Matrix::zeros(n, n);
-    for r in 0..n {
-        let sr = phi[r].max(1e-12).sqrt();
-        for c in 0..n {
-            let sc = phi[c].max(1e-12).sqrt();
-            let i_minus_p = if r == c { 1.0 - p[(r, c)] } else { -p[(r, c)] };
-            lap[(r, c)] = sr * i_minus_p / sc;
-        }
-    }
-    lap
+    directed_laplacian(g, alpha).0.to_dense()
 }
 
 /// The square-rooted stationary vector `Φ^{1/2}·e`. `Δ_c` annihilates this
 /// vector by construction — a fact the property tests exploit.
 pub fn sqrt_stationary(g: &DiGraph, alpha: f32) -> Vec<f32> {
-    let p = transition_matrix(g, alpha);
-    stationary_distribution(&p)
-        .into_iter()
-        .map(|x| x.max(0.0).sqrt())
-        .collect()
+    stationary(g, alpha).phi.into_iter().map(|x| x.max(0.0).sqrt()).collect()
 }
 
 /// The symmetric normalized Laplacian of Eq. 9,
 /// `L = I − D^{-1/2} W_sym D^{-1/2}`, after symmetrizing the cascade
-/// (`W_sym = W + Wᵀ`). Used by the `CasCN-Undirected` variant.
+/// (`W_sym = W + Wᵀ`), as a CSR operator built in `O(nnz)`. Used by the
+/// `CasCN-Undirected` variant.
 ///
 /// Isolated nodes get a self-loop so `D^{-1/2}` is defined.
-pub fn undirected_normalized_laplacian(g: &DiGraph) -> Matrix {
+fn undirected_laplacian(g: &DiGraph) -> SparseOp {
     let n = g.node_count();
-    let w = g.adjacency();
-    let mut sym = Matrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            sym[(r, c)] = w[(r, c)] + w[(c, r)];
-        }
-    }
-    for i in 0..n {
-        let row_sum: f32 = sym.row(i).iter().sum();
-        // lint: allow(float-eq) — isolated nodes have an exactly-zero row sum; NaN falls through to the general path
-        if row_sum == 0.0 {
-            sym[(i, i)] = 1.0;
-        }
-    }
-    let dinv_sqrt: Vec<f32> = (0..n)
-        .map(|i| 1.0 / sym.row(i).iter().sum::<f32>().sqrt())
+    let mut sym = merged_rows(n, g.edges().flat_map(|(u, v, w)| [(u, v, w), (v, u, w)]));
+    let dinv_sqrt: Vec<f32> = sym
+        .iter_mut()
+        .enumerate()
+        .map(|(r, row)| {
+            let mut degree: f32 = row.iter().map(|&(_, w)| w).sum();
+            // lint: allow(float-eq) — isolated nodes have an exactly-zero degree; NaN falls through to the general path
+            if degree == 0.0 {
+                *row = vec![(r, 1.0)];
+                degree = 1.0;
+            }
+            1.0 / degree.sqrt()
+        })
         .collect();
-    let mut lap = Matrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            let v = dinv_sqrt[r] * sym[(r, c)] * dinv_sqrt[c];
-            lap[(r, c)] = if r == c { 1.0 - v } else { -v };
-        }
-    }
-    lap
+    let rows: Vec<Vec<(usize, f32)>> = sym
+        .iter()
+        .enumerate()
+        .map(|(r, row)| {
+            let mut entries: Vec<(usize, f32)> = row
+                .iter()
+                .map(|&(c, w)| {
+                    let v = dinv_sqrt[r] * w * dinv_sqrt[c];
+                    (c, if r == c { 1.0 - v } else { -v })
+                })
+                .collect();
+            ensure_diagonal(&mut entries, r, 1.0);
+            entries
+        })
+        .collect();
+    SparseOp::from_csr(Csr::from_rows(n, &rows))
 }
 
-/// Estimates the largest eigenvalue of a Laplacian for Chebyshev scaling.
+/// The symmetric normalized Laplacian of Eq. 9 as a dense matrix — the
+/// dense form of the operator [`SpectralBasis::undirected`] scales, for
+/// tests and diagnostics.
+pub fn undirected_normalized_laplacian(g: &DiGraph) -> Matrix {
+    undirected_laplacian(g).to_dense()
+}
+
+/// The one λ_max power iteration: the largest eigenvalue of the symmetric
+/// part `(M + Mᵀ)/2` of a Laplacian operator `M`, applied as
+/// `(M·x + Mᵀ·x)/2` in `O(nnz + n)` per round.
 ///
-/// `Δ_c` is not symmetric, so we take the largest eigenvalue of its
-/// symmetric part `(Δ_c + Δ_cᵀ)/2` — the maximum Rayleigh quotient of `Δ_c`
-/// over real vectors, which is exactly the quantity that must bound the
-/// Chebyshev domain. Power iteration runs on the positively shifted
-/// operator `S + cI` so the dominant eigenvalue is the largest (not merely
-/// largest-magnitude) one.
+/// The symmetric part of a Laplacian is positive semidefinite — for the
+/// directed CasLaplacian it is Chung's directed Laplacian, for Eq. 9 the
+/// normalized Laplacian itself — so its largest eigenvalue is also the
+/// largest in magnitude and plain power iteration finds it without a
+/// spectral shift. The Rayleigh quotient stops under the shared [`settled`]
+/// rule. The start vector has distinct entries: a constant start is
+/// orthogonal to every eigenvector that is antisymmetric across mirrored
+/// subtrees, and a cascade's top eigenvector often is one, so the iteration
+/// would settle on the largest *symmetric* eigenvalue instead.
 ///
 /// Returns 2.0 (the paper's `λ_max ≈ 2` shortcut) for degenerate inputs.
-pub fn largest_eigenvalue(lap: &Matrix) -> f32 {
-    let n = lap.rows();
-    assert_eq!(n, lap.cols(), "largest_eigenvalue: non-square input");
+fn sym_lambda_max(op: &SparseOp) -> f32 {
+    let n = op.dim();
     if n == 0 {
         return 2.0;
     }
-    if n == 1 {
-        return if lap[(0, 0)].abs() > 1e-6 { lap[(0, 0)].abs() } else { 2.0 };
-    }
-    // Symmetric part.
-    let mut s = Matrix::zeros(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            s[(r, c)] = 0.5 * (lap[(r, c)] + lap[(c, r)]);
-        }
-    }
-    // Shift by the max absolute row sum (Gershgorin bound) to make the
-    // target eigenvalue dominant and positive.
-    let shift: f32 = (0..n)
-        .map(|r| s.row(r).iter().map(|x| x.abs()).sum::<f32>())
-        .fold(0.0, f32::max);
-    for i in 0..n {
-        s[(i, i)] += shift;
-    }
-    let mut x = vec![1.0f32; n];
+    let x = Matrix::from_fn(n, 1, |r, _| 1.0 + (r as f32 * 0.618_034).fract());
+    let mut x = x.scale(1.0 / dot(x.as_slice(), x.as_slice()).sqrt());
     let mut lambda = 0.0f32;
-    for _ in 0..200 {
-        let y = mat_vec(&s, &x);
-        let norm = y.iter().map(|v| v * v).sum::<f32>().sqrt();
-        if norm < 1e-20 {
+    for _ in 0..LAMBDA_MAX_ITERS {
+        let mut y = op.apply(&x);
+        y.axpy(1.0, &op.apply_transpose(&x));
+        let y = y.scale(0.5);
+        let next = dot(x.as_slice(), y.as_slice());
+        let norm = dot(y.as_slice(), y.as_slice()).sqrt();
+        if !norm.is_finite() || norm < 1e-20 {
             return 2.0;
         }
-        let xn: Vec<f32> = y.iter().map(|v| v / norm).collect();
-        let new_lambda = dot(&mat_vec(&s, &xn), &xn);
-        let done = (new_lambda - lambda).abs() < 1e-7 * new_lambda.abs().max(1.0);
-        lambda = new_lambda;
-        x = xn;
+        let done = settled(f64::from((next - lambda).abs()), f64::from(next.abs()));
+        lambda = next;
+        x = y.scale(1.0 / norm);
         if done {
             break;
         }
     }
-    let result = lambda - shift;
-    if result.is_finite() && result > 1e-3 {
-        result
+    if lambda.is_finite() && lambda > 1e-3 {
+        lambda
     } else {
         2.0
     }
+}
+
+/// Estimates the largest eigenvalue of a Laplacian for Chebyshev scaling.
+///
+/// `Δ_c` is not symmetric, so this is the largest eigenvalue of its
+/// symmetric part `(Δ_c + Δ_cᵀ)/2` — the maximum Rayleigh quotient of `Δ_c`
+/// over real vectors, which is exactly the quantity that must bound the
+/// Chebyshev domain. The dense input is viewed as a CSR operator and run
+/// through the same power iteration [`SpectralBasis::directed`] uses.
+///
+/// Returns 2.0 (the paper's `λ_max ≈ 2` shortcut) for degenerate inputs.
+pub fn largest_eigenvalue(lap: &Matrix) -> f32 {
+    assert_eq!(lap.rows(), lap.cols(), "largest_eigenvalue: non-square input");
+    sym_lambda_max(&SparseOp::from_csr(Csr::from_dense(lap)))
 }
 
 /// Scales a Laplacian to the Chebyshev domain `[-1, 1]`:
@@ -437,24 +448,21 @@ impl SpectralBasis {
     /// `Some(v)` pins it (the paper's `λ_max ≈ 2` shortcut).
     ///
     /// The operator is the exact CSR form of the dense scaled Laplacian
-    /// (no rank-1 split), so [`SparseOp::apply`] on a finite block is
-    /// bit-identical to the dense `matmul` it replaces. Undirected
-    /// Laplacians are genuinely sparse and benefit directly; for directed
-    /// cascades prefer [`SpectralBasis::directed`], which keeps the teleport
-    /// mass in a rank-1 term instead of densifying the core.
+    /// (no rank-1 split). Undirected Laplacians are genuinely sparse and
+    /// benefit directly; for directed cascades use
+    /// [`SpectralBasis::directed`], which never forms the dense matrix.
     ///
     /// # Panics
     /// Panics if `lap` is not square or a pinned `lambda_max` is not
     /// positive (the [`scale_laplacian`] contract).
     pub fn from_laplacian(lap: &Matrix, lambda_max: Option<f32>, k: usize) -> Self {
-        let lambda_max = lambda_max.unwrap_or_else(|| largest_eigenvalue(lap));
-        let scaled = scale_laplacian(lap, lambda_max);
-        let op = Arc::new(SparseOp::from_csr(Csr::from_dense(&scaled)));
-        Self { lambda_max, k, op }
+        assert_eq!(lap.rows(), lap.cols(), "from_laplacian: non-square input");
+        Self::scaled(&SparseOp::from_csr(Csr::from_dense(lap)), lambda_max, k)
     }
 
     /// Builds the scaled **directed** CasLaplacian operator straight from
-    /// the cascade graph, without subtracting dense matrices:
+    /// the cascade graph in `O(nnz)` per power-iteration round, never
+    /// forming `P_c` or the dense Laplacian:
     ///
     /// `Δ̃ = S + coeff·u·vᵀ` where `S` carries the adjacency-supported part
     /// (`S_rr = (2/λ)·(1 − a_rr) − 1`, `S_rc = −(2/λ)·s_r·a_rc/s_c` with
@@ -462,71 +470,68 @@ impl SpectralBasis {
     /// `s = φ^{1/2}`), and the rank-1 term is the PageRank teleport mass:
     /// `coeff = −(2/λ)·(1−α)/n`, `u = s`, `v = 1/s`.
     ///
-    /// `φ` and (when `lambda_max` is `None`) `λ_max` are computed by the
-    /// *identical* dense pipeline as [`cas_laplacian`] +
-    /// [`largest_eigenvalue`], so the spectral constants match the legacy
-    /// path exactly; only the `O(n²)`-entry storage and the per-application
-    /// cost change.
+    /// `φ` comes from [`stationary`] and (when `lambda_max` is `None`)
+    /// `λ_max` from the same symmetric-part power iteration
+    /// [`largest_eigenvalue`] runs, applied to the sparse-plus-rank-1
+    /// Laplacian.
     ///
     /// # Panics
     /// Panics if the graph is empty or `alpha` is outside `(0, 1)` (the
     /// [`transition_matrix`] contract), or a pinned `lambda_max` is not
     /// positive.
     pub fn directed(g: &DiGraph, alpha: f32, lambda_max: Option<f32>, k: usize) -> Self {
-        let p = transition_matrix(g, alpha);
-        let phi = stationary_distribution(&p);
-        let lambda_max =
-            lambda_max.unwrap_or_else(|| largest_eigenvalue(&cas_laplacian_from(&p, &phi)));
+        Self::directed_with_phi(g, alpha, lambda_max, k).0
+    }
+
+    /// Builds the scaled **undirected** normalized Laplacian operator (Eq.
+    /// 9, the `CasCN-Undirected` ablation) straight from the cascade graph
+    /// in `O(nnz)`, estimating `λ_max` with the same power iteration as
+    /// [`SpectralBasis::directed`] unless it is pinned.
+    ///
+    /// # Panics
+    /// Panics if a pinned `lambda_max` is not positive.
+    pub fn undirected(g: &DiGraph, lambda_max: Option<f32>, k: usize) -> Self {
+        Self::scaled(&undirected_laplacian(g), lambda_max, k)
+    }
+
+    /// [`SpectralBasis::directed`] together with the φ outcome it was built
+    /// from, for the streaming layer that keeps φ alongside the operator.
+    pub(crate) fn directed_with_phi(
+        g: &DiGraph,
+        alpha: f32,
+        lambda_max: Option<f32>,
+        k: usize,
+    ) -> (Self, StationaryOutcome) {
+        let (lap, outcome) = directed_laplacian(g, alpha);
+        (Self::scaled(&lap, lambda_max, k), outcome)
+    }
+
+    /// Scales an unscaled Laplacian operator to `Δ̃ = (2/λ_max)·Δ − I`
+    /// (Eq. 2), estimating `λ_max` when it is not pinned. Every row keeps
+    /// a diagonal entry, even an exactly-zero one (λ_max pinned to 2), so
+    /// the row structure — and the persisted text form — is independent of
+    /// the pin.
+    fn scaled(lap: &SparseOp, lambda_max: Option<f32>, k: usize) -> Self {
+        let lambda_max = lambda_max.unwrap_or_else(|| sym_lambda_max(lap));
         assert!(
             lambda_max > 0.0,
-            "directed operator: lambda_max must be positive, got {lambda_max}"
+            "scale_laplacian: lambda_max must be positive, got {lambda_max}"
         );
-        let n = g.node_count();
         let two_over = 2.0 / lambda_max;
-        let teleport = (1.0 - alpha) / n as f32;
-        let s: Vec<f32> = phi.iter().map(|&x| x.max(1e-12).sqrt()).collect();
-        // Self-loop-patched adjacency, exactly as `transition_matrix` builds
-        // its normalizer.
-        let mut w = g.adjacency();
-        for (i, &d) in g.weighted_out_degrees().iter().enumerate() {
-            // lint: allow(float-eq) — dangling nodes have an exactly-zero out-degree by construction
-            if d == 0.0 {
-                w[(i, i)] = 1.0;
-            }
-        }
-        let mut rows: Vec<Vec<(usize, f32)>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let row_sum: f32 = w.row(r).iter().sum();
-            let mut entries: Vec<(usize, f32)> = Vec::new();
-            let mut has_diag = false;
-            for (c, &wv) in w.row(r).iter().enumerate() {
-                // lint: allow(float-eq) — exact-zero sparsity test: only true zeros are dropped from S
-                if wv == 0.0 {
-                    continue;
-                }
-                let a_rc = alpha * wv / row_sum;
-                let val = if r == c {
-                    has_diag = true;
-                    two_over * (1.0 - a_rc) - 1.0
-                } else {
-                    -(two_over * s[r] * a_rc / s[c])
-                };
-                entries.push((c, val));
-            }
-            if !has_diag {
-                // The identity contribution `(2/λ)·δ_rc − δ_rc` for rows
-                // without a stored self-loop. Kept even when it is exactly
-                // zero (λ_max pinned to 2) so the row structure — and the
-                // persisted text form — is independent of the pin.
-                let pos = entries.partition_point(|&(c, _)| c < r);
-                entries.insert(pos, (r, two_over - 1.0));
-            }
-            rows.push(entries);
-        }
-        let csr = Csr::from_rows(n, &rows);
-        let v: Vec<f32> = s.iter().map(|&x| 1.0 / x).collect();
-        let coeff = -(two_over * teleport);
-        let op = Arc::new(SparseOp::new(csr, Some((coeff, s, v))));
+        let core = lap.csr();
+        let rows: Vec<Vec<(usize, f32)>> = (0..core.rows())
+            .map(|r| {
+                let mut row: Vec<(usize, f32)> = core
+                    .row(r)
+                    .iter()
+                    .map(|&(c, v)| (c, if r == c { v * two_over - 1.0 } else { v * two_over }))
+                    .collect();
+                ensure_diagonal(&mut row, r, -1.0);
+                row
+            })
+            .collect();
+        let rank1 = lap.rank1().map(|(coeff, u, v)| (coeff * two_over, u.to_vec(), v.to_vec()));
+        let op = Arc::new(SparseOp::new(Csr::from_rows(core.cols(), &rows), rank1));
         Self { lambda_max, k, op }
     }
 
@@ -583,14 +588,6 @@ pub fn chebyshev_bases(scaled: &Matrix, k: usize) -> Vec<Matrix> {
     bases
 }
 
-/// Dense matrix–vector product through the shared [`cascn_tensor::dot`]
-/// kernel. Each output element is one strictly sequential dot product, so
-/// the power iterations above stay bit-identical across refactors of the
-/// surrounding code.
-fn mat_vec(m: &Matrix, x: &[f32]) -> Vec<f32> {
-    (0..m.rows()).map(|r| dot(m.row(r), x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,7 +614,7 @@ mod tests {
     #[test]
     fn stationary_is_a_fixed_point() {
         let p = transition_matrix(&fig1(), 0.85);
-        let phi = stationary_distribution(&p);
+        let phi = stationary(&fig1(), 0.85).phi;
         assert!((phi.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         // φᵀ P ≈ φᵀ
         let n = p.rows();
@@ -635,11 +632,18 @@ mod tests {
     fn stationary_reports_convergence_on_healthy_input() {
         let p = transition_matrix(&fig1(), 0.85);
         let out = stationary_distribution_checked(&p);
-        assert!(out.converged, "Eq. 7 transition matrices converge geometrically");
-        assert!(!out.fallback);
-        assert!(out.iterations < 10_000, "converged after {} rounds", out.iterations);
-        assert_eq!(out.phi, stationary_distribution(&p));
-        assert!((out.phi.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let sparse = stationary(&fig1(), 0.85);
+        for o in [&out, &sparse] {
+            assert!(o.converged, "Eq. 7 transition matrices converge");
+            assert!(!o.fallback);
+            // Depth 3: the uniform start reaches the fixed point in depth + 1
+            // rounds, the rule fires one round later at most.
+            assert!(o.iterations <= 5, "converged after {} rounds", o.iterations);
+            assert!((o.phi.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        }
+        for (a, b) in out.phi.iter().zip(&sparse.phi) {
+            assert!((a - b).abs() <= 4.0 * f32::EPSILON, "dense {a} vs sparse {b}");
+        }
     }
 
     #[test]
@@ -654,8 +658,6 @@ mod tests {
         assert!(!out.converged);
         let n = p.rows();
         assert_eq!(out.phi, vec![1.0 / n as f32; n]);
-        let phi = stationary_distribution(&p);
-        assert!(phi.iter().all(|x| x.is_finite()), "fallback φ must be finite");
     }
 
     #[test]
@@ -669,67 +671,25 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_converges_to_cold_answer_fast() {
-        let p = transition_matrix(&fig1(), 0.85);
-        let cold = stationary_distribution_checked(&p);
-        let warm = stationary_distribution_warm(&p, &cold.phi);
-        assert!(warm.converged && !warm.fallback);
-        // The ε-mix perturbs the seed off the fixed point, so the warm
-        // restart re-contracts that perturbation — it must never take
-        // *longer* than the cold start.
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm restart from the answer took {} rounds vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        for (a, b) in warm.phi.iter().zip(&cold.phi) {
-            assert!((a - b).abs() < 1e-5, "warm {a} vs cold {b}");
-        }
-    }
-
-    #[test]
-    fn warm_start_zero_entry_seed_matches_cold() {
-        // Regression (streaming warm-start degeneracy): `spmv_transpose`
-        // skips exact-zero input entries, so an all-zero warm seed produced
-        // a zero iterate and the uniform *fallback* outcome — while the cold
-        // path on the same healthy P converges normally. Sanitization must
-        // make the two paths agree.
-        let p = transition_matrix(&fig1(), 0.85);
-        let cold = stationary_distribution_checked(&p);
-        assert!(cold.converged && !cold.fallback);
-        let warm = stationary_distribution_warm(&p, &vec![0.0; p.rows()]);
-        assert!(!warm.fallback, "an all-zero seed must not poison a healthy P");
-        assert!(warm.converged);
-        assert_eq!(warm.phi, cold.phi, "sanitized all-zero seed degrades to the uniform start");
-        // Non-finite and negative seeds degrade the same way.
-        for bad in [f32::NAN, f32::INFINITY, -1.0] {
-            let out = stationary_distribution_warm(&p, &vec![bad; p.rows()]);
-            assert_eq!(out.phi, cold.phi);
-        }
-    }
-
-    #[test]
-    fn warm_start_boundary_seed_falls_back_to_cold_on_periodic_p() {
-        // P = [[0,1],[1,0]] is periodic: from the simplex boundary seed
-        // (1, 0) the raw iterate oscillates forever between the two corners
-        // and never converges — before the fix, the warm path returned a
-        // seed-dependent corner while the cold path (uniform start) lands
-        // exactly on the stationary (0.5, 0.5) in one round. The checked
-        // fallback must hand back the cold answer.
-        let mut p = Matrix::zeros(2, 2);
+    fn converged_is_false_exactly_when_the_rule_never_fires() {
+        // 0 ↔ 1 is periodic and node 2 feeds 0, so from the uniform start
+        // the iterate alternates between (2/3, 1/3, 0) and (1/3, 2/3, 0)
+        // forever: every round moves φ by 1/3, the rule never fires, and
+        // the outcome must say so after the full round budget.
+        let mut p = Matrix::zeros(3, 3);
         p[(0, 1)] = 1.0;
         p[(1, 0)] = 1.0;
-        let cold = stationary_distribution_checked(&p);
-        assert!(cold.converged);
-        assert_eq!(cold.phi, vec![0.5, 0.5]);
-        let warm = stationary_distribution_warm(&p, &[1.0, 0.0]);
-        assert!(warm.converged, "fallback must report the cold outcome");
-        assert_eq!(warm.phi, cold.phi, "seed corner must not leak into the result");
-        assert!(
-            warm.iterations > cold.iterations,
-            "the failed warm attempt is charged to the iteration count"
-        );
+        p[(2, 0)] = 1.0;
+        let out = stationary_distribution_checked(&p);
+        assert!(!out.converged && !out.fallback);
+        assert_eq!(out.iterations, STATIONARY_MAX_ITERS);
+        // A fixed point from the first round fires the rule on round 1.
+        let mut swap = Matrix::zeros(2, 2);
+        swap[(0, 1)] = 1.0;
+        swap[(1, 0)] = 1.0;
+        let out = stationary_distribution_checked(&swap);
+        assert!(out.converged);
+        assert_eq!((out.phi, out.iterations), (vec![0.5, 0.5], 1));
     }
 
     #[test]
@@ -885,14 +845,14 @@ mod tests {
 
     #[test]
     fn directed_operator_lambda_matches_dense_estimate() {
+        // The sparse-plus-rank-1 operator and its dense form run the same
+        // power iteration; only the summation order differs. The f64
+        // oracle in `tests/oracle.rs` bounds both against the exact value.
         let g = fig1();
         let handle = SpectralBasis::directed(&g, 0.85, None, 2);
         let dense_lmax = largest_eigenvalue(&cas_laplacian(&g, 0.85));
-        assert_eq!(
-            handle.lambda_max.to_bits(),
-            dense_lmax.to_bits(),
-            "operator path must reuse the exact dense λ_max pipeline"
-        );
+        let rel = (handle.lambda_max - dense_lmax).abs() / dense_lmax;
+        assert!(rel < 1e-5, "sparse λ {} vs dense {dense_lmax}", handle.lambda_max);
     }
 
     #[test]

@@ -87,7 +87,9 @@ proptest! {
             prop_assert!(p.row(r).iter().all(|&x| x > 0.0));
         }
         // Stationary distribution is a positive fixed point.
-        let phi = laplacian::stationary_distribution(&p);
+        let out = laplacian::stationary_distribution_checked(&p);
+        prop_assert!(out.converged, "φ rule never fired in {} rounds", out.iterations);
+        let phi = out.phi;
         prop_assert!((phi.iter().sum::<f32>() - 1.0).abs() < 1e-4);
         prop_assert!(phi.iter().all(|&x| x > 0.0));
     }

@@ -42,11 +42,12 @@ pub const SNAPSHOT_HEADER: &str = "# cascn spectral cache snapshot v3";
 const CHECKSUM_PREFIX: &str = "# checksum fnv1a64 ";
 
 /// Version of the spectral *compute kernel* whose outputs populate the
-/// cache. Bumped whenever the kernel changes numerics (e.g. the move from
-/// materialized dense bases to the sparse operator recurrence), so a
+/// cache. Bumped whenever the kernel changes numerics (2: the move from
+/// materialized dense bases to the sparse operator recurrence; 3: the
+/// sparse φ/λ_max pipeline with the f32-fitted stopping rule), so a
 /// restarted replica can never mix bases produced by a different kernel
 /// generation — the fingerprint folds this in.
-pub const SPECTRAL_KERNEL_VERSION: u32 = 2;
+pub const SPECTRAL_KERNEL_VERSION: u32 = 3;
 
 /// One restored cache entry: the cascade, its window, and the basis.
 pub type SnapshotEntry = (Cascade, f64, SpectralBasis);
@@ -100,8 +101,12 @@ impl fmt::Display for SnapshotError {
 /// same bases for the same cascade — model *parameters* are deliberately
 /// excluded (the basis is parameter-independent and survives hot reloads).
 pub fn basis_fingerprint(cfg: &CascnConfig) -> u64 {
+    kernel_fingerprint(SPECTRAL_KERNEL_VERSION, cfg)
+}
+
+fn kernel_fingerprint(kernel_version: u32, cfg: &CascnConfig) -> u64 {
     let mut bytes = Vec::with_capacity(40);
-    bytes.extend_from_slice(&SPECTRAL_KERNEL_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&kernel_version.to_le_bytes());
     bytes.extend_from_slice(&(cfg.k as u64).to_le_bytes());
     bytes.extend_from_slice(&(cfg.max_nodes as u64).to_le_bytes());
     bytes.extend_from_slice(&cfg.alpha.to_bits().to_le_bytes());
@@ -649,6 +654,32 @@ mod tests {
             snapshot_from_text(&text, other).expect_err("fingerprint mismatch rejected"),
             SnapshotError::FingerprintMismatch { found: fp, expected: other }
         );
+    }
+
+    #[test]
+    fn previous_kernel_snapshot_cold_starts() {
+        // A replica upgraded from kernel 2 finds a snapshot whose bases
+        // carry the old φ/λ_max numerics: it must be refused as a whole
+        // (a clean cold start), never served and never a panic.
+        let (cache, _) = warmed_cache();
+        let old_fp = kernel_fingerprint(2, &cfg());
+        let fp = basis_fingerprint(&cfg());
+        assert_ne!(old_fp, fp, "the kernel bump must change the fingerprint");
+        let live: Vec<LiveSnapshotEntry> = vec![(cas(9, 3), 25.0)];
+        let text = snapshot_to_text(&cache.export(), &live, old_fp);
+        assert_eq!(
+            snapshot_from_text(&text, fp).expect_err("kernel-2 snapshot rejected"),
+            SnapshotError::FingerprintMismatch { found: old_fp, expected: fp }
+        );
+        let dir = std::env::temp_dir().join(format!("cascn_persist_k2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        save_snapshot(&path, &cache.export(), &live, old_fp).expect("save succeeds");
+        assert!(matches!(
+            load_snapshot(&path, fp),
+            Err(SnapshotError::FingerprintMismatch { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
