@@ -23,8 +23,9 @@ pub struct ParamGrads {
 }
 
 impl ParamGrads {
-    /// Number of `(parameter, gradient)` entries (bindings, not parameters —
-    /// a parameter bound `t` times on the tape contributes `t` entries).
+    /// Number of `(parameter, gradient)` entries — one per binding that
+    /// received a gradient. Models bind each parameter once per forward
+    /// pass, so this counts parameters, each at most once.
     pub fn len(&self) -> usize {
         self.entries.len()
     }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use cascn_tensor::{Matrix, SparseOp};
+use cascn_tensor::{Csr, Matrix, SparseOp};
 
 use crate::params::{ParamId, ParamStore};
 
@@ -23,6 +23,9 @@ enum Op {
     Sub(Var, Var),
     Hadamard(Var, Var),
     AddBias(Var, Var),
+    /// `a ⊙ broadcast(row)`: scales every row of `a` elementwise by a
+    /// `1 x c` row.
+    MulRow(Var, Var),
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
@@ -35,15 +38,19 @@ enum Op {
     Sqr(Var),
     Gather(Var, Vec<usize>),
     ConcatRows(Vec<Var>),
-    ConcatCols(Var, Var),
+    ConcatCols(Vec<Var>),
     SoftmaxCol(Var),
     LogSoftmaxRow(Var),
     SliceRows(Var, usize),
+    SliceCols(Var, usize),
     PickEntry(Var, usize, usize),
     /// Application of a fixed (non-differentiable) sparse operator to a
     /// feature block: `Y = M·X`. The `Arc` keeps the tape cheap to record —
     /// the Chebyshev recurrence applies the same operator K times per gate.
     SparseApply(Arc<SparseOp>, Var),
+    /// A constant rectangular CSR matrix times a variable: `Y = A·X`. The
+    /// sparse snapshot signals enter the gate convolution this way.
+    Spmm(Arc<Csr>, Var),
 }
 
 struct Node {
@@ -130,6 +137,13 @@ impl Tape {
         v
     }
 
+    /// Number of [`Tape::param`] bindings recorded so far. Models bind each
+    /// parameter once per forward pass, so this equals the number of
+    /// distinct parameters the forward touched.
+    pub fn num_bindings(&self) -> usize {
+        self.bindings.len()
+    }
+
     /// `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).matmul(self.value(b));
@@ -163,6 +177,26 @@ impl Tape {
         let value = self.value(a).add_row_broadcast(self.value(bias));
         let rg = self.requires(a) || self.requires(bias);
         self.push(Op::AddBias(a, bias), value, rg)
+    }
+
+    /// Multiplies every row of `a` (`m x c`) elementwise by the `1 x c` row
+    /// `row` — the broadcast form of a per-feature gain such as an LSTM
+    /// peephole.
+    ///
+    /// # Panics
+    /// Panics unless `row` is `1 x a.cols()`.
+    pub fn mul_row(&mut self, a: Var, row: Var) -> Var {
+        let (va, vr) = (self.value(a), self.value(row));
+        assert_eq!(
+            (1, va.cols()),
+            vr.shape(),
+            "mul_row: row must be 1x{}, got {:?}",
+            va.cols(),
+            vr.shape()
+        );
+        let value = scale_cols(va, vr.as_slice());
+        let rg = self.requires(a) || self.requires(row);
+        self.push(Op::MulRow(a, row), value, rg)
     }
 
     /// Elementwise logistic sigmoid.
@@ -278,18 +312,44 @@ impl Tape {
         self.push(Op::ConcatRows(parts.to_vec()), value, rg)
     }
 
-    /// Horizontally concatenates two variables with equal row counts.
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.rows(), vb.rows(), "concat_cols: row mismatch");
-        let mut value = Matrix::zeros(va.rows(), va.cols() + vb.cols());
-        for r in 0..va.rows() {
-            let row = value.row_mut(r);
-            row[..va.cols()].copy_from_slice(va.row(r));
-            row[va.cols()..].copy_from_slice(vb.row(r));
+    /// Horizontally concatenates variables that share a row count.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty or row counts differ.
+    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        assert!(!parts.is_empty(), "concat_cols: need at least one part");
+        let rows = self.value(parts[0]).rows();
+        let total: usize = parts.iter().map(|&p| self.value(p).cols()).sum();
+        let mut value = Matrix::zeros(rows, total);
+        let mut at = 0;
+        let mut rg = false;
+        for &p in parts {
+            let v = self.value(p);
+            assert_eq!(v.rows(), rows, "concat_cols: row mismatch");
+            let c = v.cols();
+            for r in 0..rows {
+                value.row_mut(r)[at..at + c].copy_from_slice(v.row(r));
+            }
+            at += c;
+            rg |= self.requires(p);
         }
-        let rg = self.requires(a) || self.requires(b);
-        self.push(Op::ConcatCols(a, b), value, rg)
+        self.push(Op::ConcatCols(parts.to_vec()), value, rg)
+    }
+
+    /// Extracts `len` consecutive columns starting at `start`.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds `a`'s columns.
+    pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
+        let v = self.value(a);
+        assert!(
+            start + len <= v.cols(),
+            "slice_cols: {start}+{len} exceeds {} cols",
+            v.cols()
+        );
+        let value = col_block(v, start, len);
+        let rg = self.requires(a);
+        self.push(Op::SliceCols(a, start), value, rg)
     }
 
     /// Softmax over an `n x 1` column vector.
@@ -371,6 +431,20 @@ impl Tape {
         let value = op.apply(self.value(x));
         let rg = self.requires(x);
         self.push(Op::SparseApply(op, x), value, rg)
+    }
+
+    /// Multiplies a fixed rectangular sparse matrix into `x`: `y = a·x`.
+    ///
+    /// Like [`Tape::sparse_apply`], `a` is data (a cascade snapshot), not a
+    /// parameter; gradients flow through `x` only, with `∂x = aᵀ·∂y` via
+    /// [`Csr::spmm_transpose`].
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != a.cols()`.
+    pub fn spmm(&mut self, a: Arc<Csr>, x: Var) -> Var {
+        let value = a.spmm(self.value(x));
+        let rg = self.requires(x);
+        self.push(Op::Spmm(a, x), value, rg)
     }
 
     // ---- composite helpers --------------------------------------------------
@@ -467,6 +541,17 @@ impl Tape {
                 self.add_grad(*a, g.clone());
                 if self.requires(*bias) {
                     self.add_grad(*bias, g.sum_rows());
+                }
+            }
+            Op::MulRow(a, row) => {
+                if self.requires(*a) {
+                    let da = scale_cols(g, self.value(*row).as_slice());
+                    self.add_grad(*a, da);
+                }
+                if self.requires(*row) {
+                    // ∂row = Σ_i g[i] ⊙ a[i]
+                    let dr = g.hadamard(self.value(*a)).sum_rows();
+                    self.add_grad(*row, dr);
                 }
             }
             Op::Sigmoid(a) => {
@@ -584,24 +669,24 @@ impl Tape {
                     at += rows;
                 }
             }
-            Op::ConcatCols(a, b) => {
-                let ca = self.value(*a).cols();
+            Op::ConcatCols(parts) => {
+                let mut at = 0;
+                for &p in parts {
+                    let cols = self.value(p).cols();
+                    if self.requires(p) {
+                        self.add_grad(p, col_block(g, at, cols));
+                    }
+                    at += cols;
+                }
+            }
+            Op::SliceCols(a, start) => {
                 if self.requires(*a) {
-                    let rows = self.value(*a).rows();
-                    let mut da = Matrix::zeros(rows, ca);
-                    for r in 0..rows {
-                        da.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
+                    let v = self.value(*a);
+                    let mut da = Matrix::zeros(v.rows(), v.cols());
+                    for r in 0..g.rows() {
+                        da.row_mut(r)[*start..start + g.cols()].copy_from_slice(g.row(r));
                     }
                     self.add_grad(*a, da);
-                }
-                if self.requires(*b) {
-                    let rows = self.value(*b).rows();
-                    let cb = self.value(*b).cols();
-                    let mut db = Matrix::zeros(rows, cb);
-                    for r in 0..rows {
-                        db.row_mut(r).copy_from_slice(&g.row(r)[ca..ca + cb]);
-                    }
-                    self.add_grad(*b, db);
                 }
             }
             Op::SoftmaxCol(a) => {
@@ -653,6 +738,12 @@ impl Tape {
                     self.add_grad(*x, dx);
                 }
             }
+            Op::Spmm(a, x) => {
+                if self.requires(*x) {
+                    let dx = a.spmm_transpose(g);
+                    self.add_grad(*x, dx);
+                }
+            }
             Op::SliceRows(a, start) => {
                 if self.requires(*a) {
                     let v = self.value(*a);
@@ -699,6 +790,27 @@ impl Tape {
         }
         crate::ParamGrads { entries }
     }
+}
+
+/// `m` with column `j` multiplied by `gains[j]`.
+fn scale_cols(m: &Matrix, gains: &[f32]) -> Matrix {
+    let mut out = m.clone();
+    for r in 0..out.rows() {
+        for (o, &s) in out.row_mut(r).iter_mut().zip(gains) {
+            *o *= s;
+        }
+    }
+    out
+}
+
+/// Columns `start..start + cols` of `g` as their own matrix.
+fn col_block(g: &Matrix, start: usize, cols: usize) -> Matrix {
+    let mut out = Matrix::zeros(g.rows(), cols);
+    for r in 0..g.rows() {
+        out.row_mut(r)
+            .copy_from_slice(&g.row(r)[start..start + cols]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -795,7 +907,7 @@ mod tests {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::full(2, 1, 1.0));
         let b = t.leaf(Matrix::full(2, 2, 1.0));
-        let c = t.concat_cols(a, b);
+        let c = t.concat_cols(&[a, b]);
         assert_eq!(t.value(c).shape(), (2, 3));
         let loss = t.sum_all(c);
         t.backward(loss);

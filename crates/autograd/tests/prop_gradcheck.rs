@@ -4,8 +4,10 @@
 //! random small matrices, run forward+backward, and compare analytic
 //! gradients to central differences. Tolerances reflect `f32` precision.
 
+use std::sync::Arc;
+
 use cascn_autograd::{assert_gradients_close, ParamStore, Tape, Var};
-use cascn_tensor::Matrix;
+use cascn_tensor::{Csr, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a rows x cols matrix with entries in [-1, 1].
@@ -141,10 +143,43 @@ proptest! {
     }
 
     #[test]
-    fn concat_cols_gradcheck(a in matrix(3, 2), b in matrix(3, 4)) {
-        gradcheck_model(vec![("a", a), ("b", b)], |t, v| {
-            let c = t.concat_cols(v[0], v[1]);
-            let th = t.tanh(c);
+    fn concat_cols_gradcheck(a in matrix(3, 2), b in matrix(3, 4), c in matrix(3, 1)) {
+        gradcheck_model(vec![("a", a), ("b", b), ("c", c)], |t, v| {
+            // n-ary, with one part repeated: its two gradient blocks add.
+            let cat = t.concat_cols(&[v[0], v[1], v[2], v[0]]);
+            let th = t.tanh(cat);
+            let sq = t.sqr(th);
+            t.sum_all(sq)
+        });
+    }
+
+    #[test]
+    fn slice_cols_gradcheck(a in matrix(3, 5)) {
+        gradcheck_model(vec![("a", a)], |t, v| {
+            let left = t.slice_cols(v[0], 0, 3);
+            let right = t.slice_cols(v[0], 2, 3);
+            let th = t.tanh(right);
+            let prod = t.hadamard(left, th); // overlapping slices: both reach column 2
+            let sq = t.sqr(prod);
+            t.sum_all(sq)
+        });
+    }
+
+    #[test]
+    fn mul_row_gradcheck(a in matrix(4, 3), row in matrix(1, 3)) {
+        gradcheck_model(vec![("a", a), ("row", row)], |t, v| {
+            let scaled = t.mul_row(v[0], v[1]);
+            let s = t.sigmoid(scaled);
+            let sq = t.sqr(s);
+            t.sum_all(sq)
+        });
+    }
+
+    #[test]
+    fn spmm_gradcheck(x in matrix(5, 3)) {
+        gradcheck_model(vec![("x", x)], |t, v| {
+            let y = t.spmm(snapshot_csr(), v[0]); // 4x5 · 5x3
+            let th = t.tanh(y);
             let sq = t.sqr(th);
             t.sum_all(sq)
         });
@@ -188,6 +223,20 @@ proptest! {
             },
         );
     }
+}
+
+/// A fixed rectangular `4 x 5` snapshot-like CSR: one empty row, a column
+/// hit twice, values other than one.
+fn snapshot_csr() -> Arc<Csr> {
+    Arc::new(Csr::from_rows(
+        5,
+        &[
+            vec![(0, 1.0), (2, -0.5)],
+            vec![],
+            vec![(2, 2.0), (4, 0.75)],
+            vec![(1, 1.5)],
+        ],
+    ))
 }
 
 /// Helper extension used by the attention test: `aᵀ · b` via existing ops.

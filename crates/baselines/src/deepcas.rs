@@ -118,7 +118,7 @@ impl DeepCas {
             let (Some(&last_f), Some(&last_b)) = (hf.last(), hb.last()) else {
                 continue;
             };
-            walk_reprs.push(tape.concat_cols(last_f, last_b));
+            walk_reprs.push(tape.concat_cols(&[last_f, last_b]));
         }
         let stacked = tape.concat_rows(&walk_reprs); // m x 2h
         // Additive attention over walks.

@@ -100,13 +100,14 @@ impl DeepHawkes {
 
     /// Forward: GRU per path → decay-weighted sum over paths → MLP.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, sample: &DeepHawkesSample) -> Var {
+        let table = self.decay.bind(tape, store);
         let mut acc: Option<Var> = None;
         for (path, &end_time) in sample.paths.iter().zip(&sample.end_times) {
             let emb = self.embedding.forward(tape, store, path.clone());
             let inputs: Vec<Var> = (0..path.len()).map(|i| tape.slice_rows(emb, i, 1)).collect();
             let hs = self.gru.run(tape, store, &inputs, 1);
             let Some(&last) = hs.last() else { continue };
-            let weighted = self.decay.apply(tape, store, last, end_time, sample.window);
+            let weighted = self.decay.apply(tape, table, last, end_time, sample.window);
             acc = Some(match acc {
                 Some(a) => tape.add(a, weighted),
                 None => weighted,

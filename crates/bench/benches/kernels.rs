@@ -3,16 +3,24 @@
 //! sizes and edge densities so the crossover point stays visible in CI
 //! output — at toy sizes the dense n×n matmul is competitive; on
 //! representative sparse cascades the operator form wins by the
-//! O(K·n²·d) → O(K·nnz·d) margin the kernel layer promises.
+//! O(K·n²·d) → O(K·nnz·d) margin the kernel layer promises. The
+//! `cell_step` group times one fused ChebConv-LSTM and ChebConv-GRU step
+//! at the model's shape (hidden 32, 100-column sparse snapshots).
 
-use cascn_autograd::Tape;
+use std::sync::Arc;
+
+use cascn_autograd::{ParamStore, Tape};
 use cascn_graph::{DiGraph, IncrementalSpectral, SpectralBasis};
-use cascn_nn::ChebOperands;
-use cascn_tensor::Matrix;
+use cascn_nn::{ChebConvGruCell, ChebConvLstmCell, ChebOperands};
+use cascn_tensor::{Csr, Matrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const K: usize = 2;
 const D: usize = 32;
+/// Snapshot width: the model's `max_nodes` padding.
+const WIDTH: usize = 100;
 
 /// A synthetic cascade DAG over `n` nodes: a random-parent diffusion tree
 /// plus `extra` additional cross edges (earlier → later), deterministic in
@@ -151,5 +159,62 @@ fn bench_incremental_vs_cold(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_conv_stack_sizes, bench_conv_stack_density, bench_incremental_vs_cold);
+/// The final Fig. 3 snapshot of `g`: root self-loop plus every edge, as an
+/// `n × WIDTH` sparse adjacency.
+fn snapshot(g: &DiGraph) -> Arc<Csr> {
+    let mut rows: Vec<Vec<(usize, f32)>> = vec![Vec::new(); g.node_count()];
+    rows[0].push((0, 1.0));
+    for (u, v, _) in g.edges() {
+        rows[u].push((v, 1.0));
+    }
+    for row in &mut rows {
+        row.sort_unstable_by_key(|&(c, _)| c);
+    }
+    Arc::new(Csr::from_rows(WIDTH, &rows))
+}
+
+/// One fused cell step per iteration on a fresh tape, including the
+/// per-forward parameter binding (what a one-snapshot forward pays), on
+/// sparse operands over diffusion trees of `n` nodes.
+fn bench_cell_step(c: &mut Criterion) {
+    let mut store = ParamStore::new();
+    let mut rng = StdRng::seed_from_u64(9);
+    let lstm = ChebConvLstmCell::new(&mut store, "cc", K, WIDTH, D, &mut rng);
+    let gru = ChebConvGruCell::new(&mut store, "cg", K, WIDTH, D, &mut rng);
+    let mut group = c.benchmark_group("cell_step");
+    for n in [8usize, 32, 64] {
+        let g = cascade_graph(n, 0);
+        let basis = basis_for(&g);
+        let x = snapshot(&g);
+        let state = features(n);
+        group.bench_with_input(BenchmarkId::new("lstm", n), &n, |b, _| {
+            b.iter(|| {
+                let mut tape = Tape::new();
+                let operands = ChebOperands::sparse(&basis);
+                let weights = lstm.bind(&mut tape, &store);
+                let h = tape.constant(state.clone());
+                let c = tape.constant(state.clone());
+                std::hint::black_box(lstm.step(&mut tape, &weights, &operands, &x, (h, c)))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("gru", n), &n, |b, _| {
+            b.iter(|| {
+                let mut tape = Tape::new();
+                let operands = ChebOperands::sparse(&basis);
+                let weights = gru.bind(&mut tape, &store);
+                let h = tape.constant(state.clone());
+                std::hint::black_box(gru.step(&mut tape, &weights, &operands, &x, h))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_conv_stack_sizes,
+    bench_conv_stack_density,
+    bench_incremental_vs_cold,
+    bench_cell_step
+);
 criterion_main!(benches);

@@ -4,17 +4,19 @@
 //!
 //! Measures the CasCN hot path on a fixed synthetic workload — preprocess
 //! throughput, one-epoch training time, forward-pass p50/p99 under the
-//! default sparse Chebyshev kernel — plus the dense-kernel comparison
-//! (speedup and max prediction delta) and the microscopic next-user
-//! scores (Hit@10 / MAP after a short deterministic train), and writes
-//! the result to `BENCH_train.json` at the invocation directory.
+//! default sparse Chebyshev kernel and the forward pass's exact tape
+//! counts (recorded nodes, parameter bindings) — plus the dense-kernel
+//! comparison (speedup and max prediction delta) and the microscopic
+//! next-user scores (Hit@10 / MAP after a short deterministic train), and
+//! writes the result to `BENCH_train.json` at the invocation directory.
 //!
 //! `--check` additionally gates the run against the checked-in
 //! `bench-baseline.json` (the perf analogue of the `lint-baseline.json`
 //! ratchet): hard machine-independent gates on `sparse_speedup`,
-//! `accuracy_delta`, next-user Hit@10 and the exact φ counts (no
+//! `accuracy_delta`, next-user Hit@10, the exact φ counts (no
 //! non-converged stationary distribution, a cap on the rounds any one
-//! takes), and generous ratio bands on the wall-clock numbers so
+//! takes) and the exact forward tape counts, and generous ratio bands on
+//! the wall-clock numbers so
 //! only catastrophic regressions (a kernel silently falling back to the
 //! dense path, preprocessing re-materializing bases) trip CI rather than
 //! scheduler noise.
@@ -106,6 +108,19 @@ fn forward_latencies(model: &CascnModel, samples: &[PreprocessedCascade]) -> Vec
     out
 }
 
+/// Exact tape counts of one forward pass per sample: the mean number of
+/// recorded nodes, and the most parameter bindings any forward made.
+fn forward_counts(model: &CascnModel, samples: &[PreprocessedCascade]) -> (f64, usize) {
+    let (mut nodes, mut bindings) = (0usize, 0usize);
+    for s in samples {
+        let mut tape = Tape::new();
+        model.forward(&mut tape, model.params(), s);
+        nodes += tape.len();
+        bindings = bindings.max(tape.num_bindings());
+    }
+    (nodes as f64 / samples.len().max(1) as f64, bindings)
+}
+
 /// p50 latency (µs) of one Chebyshev conv-stack application on an `n×d`
 /// feature block — the per-gate unit of work the sparse kernel optimizes.
 /// Basis materialization / tape-constant entry happens outside the timed
@@ -136,6 +151,8 @@ struct Record {
     forward_p50_us: u64,
     forward_p99_us: u64,
     dense_forward_p50_us: u64,
+    forward_tape_nodes: f64,
+    forward_param_bindings: usize,
     conv_sparse_p50_us: u64,
     conv_dense_p50_us: u64,
     sparse_speedup: f64,
@@ -200,6 +217,7 @@ fn measure() -> Record {
     let forward_p50_us = percentile(&sparse_lat, 0.5);
     let forward_p99_us = percentile(&sparse_lat, 0.99);
     let dense_forward_p50_us = percentile(&dense_lat, 0.5);
+    let (forward_tape_nodes, forward_param_bindings) = forward_counts(&sparse, &sparse_samples);
 
     // Conv-stage speedup on the largest (most representative) cascade:
     // this isolates the Chebyshev convolution the tentpole moved from
@@ -284,6 +302,8 @@ fn measure() -> Record {
         forward_p50_us,
         forward_p99_us,
         dense_forward_p50_us,
+        forward_tape_nodes,
+        forward_param_bindings,
         conv_sparse_p50_us,
         conv_dense_p50_us,
         sparse_speedup,
@@ -316,6 +336,8 @@ fn to_json(r: &Record) -> String {
     let _ = writeln!(out, "  \"forward_p50_us\": {},", r.forward_p50_us);
     let _ = writeln!(out, "  \"forward_p99_us\": {},", r.forward_p99_us);
     let _ = writeln!(out, "  \"dense_forward_p50_us\": {},", r.dense_forward_p50_us);
+    let _ = writeln!(out, "  \"forward_tape_nodes\": {:.1},", r.forward_tape_nodes);
+    let _ = writeln!(out, "  \"forward_param_bindings\": {},", r.forward_param_bindings);
     let _ = writeln!(out, "  \"conv_sparse_p50_us\": {},", r.conv_sparse_p50_us);
     let _ = writeln!(out, "  \"conv_dense_p50_us\": {},", r.conv_dense_p50_us);
     let _ = writeln!(out, "  \"sparse_speedup\": {:.2},", r.sparse_speedup);
@@ -383,6 +405,20 @@ fn check(r: &Record, baseline_path: &str) -> Result<(), String> {
         failures.push(format!(
             "phi_rounds_max {} > allowed {max_rounds} (φ iteration slowed down)",
             r.phi_rounds_max
+        ));
+    }
+    let max_nodes = num("max_forward_tape_nodes")?;
+    if r.forward_tape_nodes > max_nodes {
+        failures.push(format!(
+            "forward_tape_nodes {:.1} > allowed {max_nodes} (the forward records more ops)",
+            r.forward_tape_nodes
+        ));
+    }
+    let max_bindings = num("max_forward_param_bindings")?;
+    if r.forward_param_bindings as f64 > max_bindings {
+        failures.push(format!(
+            "forward_param_bindings {} > allowed {max_bindings} (a parameter is bound more than once per forward)",
+            r.forward_param_bindings
         ));
     }
 

@@ -3,6 +3,8 @@
 //! instead of the fused ChebConv-LSTM cell. The gap between this variant
 //! and full CasCN quantifies the value of convolving inside the recurrence.
 
+use std::sync::Arc;
+
 use cascn_autograd::{ParamId, ParamStore, Tape, Var};
 use cascn_cascades::Cascade;
 use cascn_nn::train::History;
@@ -77,38 +79,28 @@ impl GlModel {
         sample: &PreprocessedCascade,
     ) -> Var {
         let operands = sample.operands(tape);
-        // Per-snapshot GCN embedding (1 x hidden each).
+        let filters: Vec<Var> = self.conv_w.iter().map(|&id| tape.param(store, id)).collect();
+        let bias = tape.param(store, self.conv_b);
+        // Per-snapshot GCN embedding (1 x hidden each): Σ_k T_k·(X·W_k).
         let mut sequence = Vec::with_capacity(sample.snapshots.len());
         for snap in &sample.snapshots {
-            let x = tape.constant(snap.clone());
-            let stack = operands.conv_stack(tape, x);
-            let mut acc: Option<Var> = None;
-            for (&conv, &wid) in stack.iter().zip(&self.conv_w) {
-                let w = tape.param(store, wid);
-                let term = tape.matmul(conv, w);
-                acc = Some(match acc {
-                    Some(a) => tape.add(a, term),
-                    None => term,
-                });
-            }
-            let b = tape.param(store, self.conv_b);
-            // lint: allow(no-panic) — the filter bank has K+1 ≥ 1 entries by construction
-            let pre = acc.expect("K+1 >= 1 filters");
-            let pre = tape.add_bias(pre, b);
+            let ys: Vec<Var> = filters.iter().map(|&w| tape.spmm(Arc::clone(snap), w)).collect();
+            let pre = operands.cheb_sum(tape, &ys);
+            let pre = tape.add_bias(pre, bias);
             let act = tape.relu(pre);
             sequence.push(tape.sum_rows(act));
         }
         // Dense LSTM over the snapshot embeddings.
         let hs = self.lstm.run(tape, store, &sequence, 1);
+        let lambdas = (self.cfg.decay == DecayMode::Learned).then(|| self.decay.bind(tape, store));
         let mut acc: Option<Var> = None;
         for (t, &h) in hs.iter().enumerate() {
-            let weighted = match self.cfg.decay {
-                DecayMode::Learned => {
-                    self.decay
-                        .apply(tape, store, h, sample.times[t], sample.window)
+            let weighted = match (lambdas, self.cfg.decay) {
+                (Some(table), _) => {
+                    self.decay.apply(tape, table, h, sample.times[t], sample.window)
                 }
-                DecayMode::None => h,
-                kernel => {
+                (None, DecayMode::None) => h,
+                (None, kernel) => {
                     let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
                     tape.scale(h, k)
                 }

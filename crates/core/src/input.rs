@@ -3,11 +3,13 @@
 //! Preprocessing is deterministic and model-independent, so trainers run it
 //! once per cascade and cache the result across epochs.
 
+use std::sync::Arc;
+
 use cascn_autograd::Tape;
 use cascn_cascades::{Cascade, CascadeFault, Event};
 use cascn_graph::{DiGraph, IncrementalSpectral, SpectralBasis};
 use cascn_nn::ChebOperands;
-use cascn_tensor::Matrix;
+use cascn_tensor::{Csr, Matrix};
 
 use crate::config::{CascnConfig, ChebKernel, LambdaMax, LaplacianKind};
 
@@ -21,9 +23,10 @@ pub struct PreprocessedCascade {
     /// only under [`ChebKernel::Dense`]; the default sparse kernel never
     /// builds them.
     pub dense_bases: Option<Vec<Matrix>>,
-    /// Snapshot signals `X_t`, each `n x max_nodes` (rows = observed nodes,
-    /// columns zero-padded to the shared feature width).
-    pub snapshots: Vec<Matrix>,
+    /// Snapshot signals `X_t`, each an `n x max_nodes` sparse adjacency
+    /// (rows = observed nodes, columns padded to the shared feature width;
+    /// about `n` nonzeros).
+    pub snapshots: Vec<Arc<Csr>>,
     /// Diffusion time of each snapshot (seconds since the root post).
     pub times: Vec<f64>,
     /// Number of observed nodes `n` (≤ `max_nodes`).
@@ -55,8 +58,9 @@ impl PreprocessedCascade {
 /// 1. truncate the observed prefix to `cfg.max_nodes` adopters;
 /// 2. build the cascade graph and its (directed or undirected) Laplacian;
 /// 3. scale by `λ_max` and expand Chebyshev bases to order `K`;
-/// 4. emit the Fig. 3 adjacency snapshot sequence, column-padded to
-///    `cfg.max_nodes` so every cascade shares the filter width.
+/// 4. emit the Fig. 3 adjacency snapshot sequence as sparse matrices,
+///    column-padded to `cfg.max_nodes` so every cascade shares the filter
+///    width.
 pub fn preprocess(cascade: &Cascade, window: f64, cfg: &CascnConfig) -> PreprocessedCascade {
     let basis = spectral_basis(cascade, window, cfg);
     assemble(cascade, window, cfg, basis)
@@ -348,14 +352,14 @@ fn cold_state(
 }
 
 /// Internal helper that re-implements the snapshot sampling over a truncated
-/// node prefix with column padding.
+/// node prefix with column padding, one sparse adjacency per step.
 struct TruncatedView<'a> {
     cascade: &'a Cascade,
     n: usize,
 }
 
 impl TruncatedView<'_> {
-    fn snapshots_padded(&self, max_steps: usize, width: usize) -> (Vec<Matrix>, Vec<f64>) {
+    fn snapshots_padded(&self, max_steps: usize, width: usize) -> (Vec<Arc<Csr>>, Vec<f64>) {
         let n = self.n;
         let events = &self.cascade.events[..n];
         let steps = n.min(max_steps.max(1));
@@ -365,8 +369,10 @@ impl TruncatedView<'_> {
         }
         let mut out = Vec::with_capacity(steps);
         let mut times = Vec::with_capacity(steps);
-        let mut adj = Matrix::zeros(n, width);
-        adj[(0, 0)] = 1.0; // root self-connection
+        // Per-row `(column, 1.0)` lists: children arrive in ascending event
+        // order, so every row stays sorted by column as it grows.
+        let mut adj: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n];
+        adj[0].push((0, 1.0)); // root self-connection
         let mut next_event = 1usize;
         for &b in &boundaries {
             while next_event < b {
@@ -374,12 +380,12 @@ impl TruncatedView<'_> {
                 // Cascade validation guarantees non-root events carry parents.
                 if let Some(p) = e.parent {
                     if p < n && next_event < width {
-                        adj[(p, next_event)] = 1.0;
+                        adj[p].push((next_event, 1.0));
                     }
                 }
                 next_event += 1;
             }
-            out.push(adj.clone());
+            out.push(Arc::new(Csr::from_rows(width, &adj)));
             times.push(events[b - 1].time);
         }
         (out, times)
@@ -427,7 +433,7 @@ mod tests {
         );
         assert_eq!(p.snapshots.len(), 6);
         for s in &p.snapshots {
-            assert_eq!(s.shape(), (6, 10), "column padded to max_nodes");
+            assert_eq!((s.rows(), s.cols()), (6, 10), "column padded to max_nodes");
         }
         assert_eq!(p.times.len(), p.snapshots.len());
         assert_eq!(p.increment, 0);
@@ -474,11 +480,11 @@ mod tests {
         assert_eq!(p.n, 4);
         assert_eq!(p.basis.num_nodes(), 4);
         for s in &p.snapshots {
-            assert_eq!(s.shape(), (4, 4));
+            assert_eq!((s.rows(), s.cols()), (4, 4));
         }
         // Edges to truncated nodes must not appear.
         let last = p.snapshots.last().unwrap();
-        assert_eq!(last.sum(), 1.0 + 3.0, "self-loop + edges among first 4 nodes");
+        assert_eq!(last.to_dense().sum(), 1.0 + 3.0, "self-loop + edges among first 4 nodes");
     }
 
     #[test]
@@ -491,8 +497,8 @@ mod tests {
         let short = preprocess(&fig1(), 60.0, &capped);
         assert_eq!(short.snapshots.len(), 2);
         assert_eq!(
-            short.snapshots.last().unwrap().as_slice(),
-            full.snapshots.last().unwrap().as_slice(),
+            short.snapshots.last().unwrap(),
+            full.snapshots.last().unwrap(),
             "final snapshot must contain the whole observed cascade"
         );
         assert_eq!(*short.times.last().unwrap(), 50.0);
@@ -564,9 +570,7 @@ mod tests {
                 cached.basis.scaled_dense().as_slice(),
                 "operators must match bit-for-bit"
             );
-            for (a, b) in direct.snapshots.iter().zip(&cached.snapshots) {
-                assert_eq!(a.as_slice(), b.as_slice());
-            }
+            assert_eq!(direct.snapshots, cached.snapshots);
             assert_eq!(direct.times, cached.times);
             assert_eq!(direct.increment, cached.increment);
         }
@@ -585,9 +589,7 @@ mod tests {
         assert_eq!(p.n, cold.n);
         assert_eq!(p.increment, cold.increment);
         assert_eq!(p.times, cold.times);
-        for (a, b) in p.snapshots.iter().zip(&cold.snapshots) {
-            assert_eq!(a.as_slice(), b.as_slice(), "snapshots must be bit-identical");
-        }
+        assert_eq!(p.snapshots, cold.snapshots, "snapshots must be bit-identical");
         // The streamed operator runs the cold builder: exact parity.
         assert_eq!(p.basis, cold.basis, "operator drifted from cold preprocessing");
         assert_eq!(p.dense_bases, cold.dense_bases, "dense T_k blocks drifted");
@@ -703,7 +705,7 @@ mod tests {
         let p = preprocess(&c, 100.0, &cfg());
         assert_eq!(p.n, 1);
         assert_eq!(p.snapshots.len(), 1);
-        assert_eq!(p.snapshots[0][(0, 0)], 1.0, "root self-loop");
+        assert_eq!(p.snapshots[0].row(0), &[(0, 1.0)], "root self-loop");
         assert!(p.basis.scaled_dense().all_finite());
         assert!(p.basis.materialize().iter().all(|b| b.all_finite()));
     }

@@ -165,26 +165,22 @@ impl CascnModel {
         sample: &PreprocessedCascade,
     ) -> Var {
         let operands = sample.operands(tape);
-        let inputs: Vec<Var> = sample
-            .snapshots
-            .iter()
-            .map(|s| tape.constant(s.clone()))
-            .collect();
         let hs = match &self.cell {
-            Cell::Lstm(cell) => cell.run(tape, store, &operands, &inputs, sample.n),
-            Cell::Gru(cell) => cell.run(tape, store, &operands, &inputs, sample.n),
+            Cell::Lstm(cell) => cell.run(tape, store, &operands, &sample.snapshots),
+            Cell::Gru(cell) => cell.run(tape, store, &operands, &sample.snapshots),
         };
         // Eq. 16: re-weight each hidden state by its interval's λ.
+        let lambdas = (self.cfg.decay == DecayMode::Learned).then(|| self.decay.bind(tape, store));
         let weighted: Vec<Var> = hs
             .iter()
             .enumerate()
-            .map(|(t, &h)| match self.cfg.decay {
-                DecayMode::Learned => {
+            .map(|(t, &h)| match (lambdas, self.cfg.decay) {
+                (Some(table), _) => {
                     self.decay
-                        .apply(tape, store, h, sample.times[t], sample.window)
+                        .apply(tape, table, h, sample.times[t], sample.window)
                 }
-                DecayMode::None => h,
-                kernel => {
+                (None, DecayMode::None) => h,
+                (None, kernel) => {
                     let k = kernel.kernel(sample.times[t] / sample.window.max(f64::MIN_POSITIVE));
                     tape.scale(h, k)
                 }
@@ -1029,5 +1025,52 @@ mod tests {
         let map = metrics::mean_average_precision(&ranks);
         assert!((0.0..=1.0).contains(&h10));
         assert!((0.0..=1.0).contains(&map));
+    }
+
+    #[test]
+    fn forward_binds_each_parameter_once() {
+        let data = tiny_data();
+        let cascade = data
+            .cascades
+            .iter()
+            .find(|c| c.observed_size(3600.0) >= 6)
+            .expect("a multi-step cascade");
+        for (recurrent, pooling) in [
+            (RecurrentKind::Lstm, Pooling::Sum),
+            (RecurrentKind::Gru, Pooling::Sum),
+            (RecurrentKind::Lstm, Pooling::Attention),
+        ] {
+            let cfg = CascnConfig {
+                recurrent,
+                pooling,
+                ..tiny_cfg()
+            };
+            let model = CascnModel::new(cfg);
+            let sample = preprocess(cascade, 3600.0, &cfg);
+            let mut tape = Tape::new();
+            let pred = model.forward(&mut tape, model.params(), &sample);
+            let loss = tape.squared_error(pred, 1.0);
+            tape.backward(loss);
+            let mut grads = model.params().clone();
+            grads.zero_grads();
+            tape.accumulate_param_grads(&mut grads);
+            // Sum pooling leaves the two attention parameters unused.
+            let used = model.params().len() - if pooling == Pooling::Sum { 2 } else { 0 };
+            let reached = grads
+                .ids()
+                .filter(|&id| grads.grad(id).max_abs() > 0.0)
+                .count();
+            // Every used parameter is bound (it has a gradient) and there are
+            // exactly as many bindings as used parameters: one binding each.
+            assert_eq!(
+                reached, used,
+                "{recurrent:?}/{pooling:?}: parameters without gradient"
+            );
+            assert_eq!(
+                tape.num_bindings(),
+                used,
+                "{recurrent:?}/{pooling:?}: bindings per forward != distinct parameters"
+            );
+        }
     }
 }

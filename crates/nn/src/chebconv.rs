@@ -9,11 +9,22 @@
 //! ([`ChebOperands`]):
 //!
 //! * **Sparse** (the default path): the scaled Laplacian `Δ̃_c` as a
-//!   [`SparseOp`], with the Chebyshev recurrence carried on `n×d` feature
-//!   blocks — `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X` — so no dense `n×n`
-//!   basis is ever materialized and each gate costs `O(K·nnz·d)`;
+//!   [`SparseOp`], with every Chebyshev sum carried by recurrences on
+//!   `n×d` feature blocks, so no dense `n×n` basis is ever materialized;
 //! * **Dense** (the legacy/gradcheck path): the materialized `T_k(Δ̃_c)`
 //!   bases entered on the tape as constants and multiplied per order.
+//!
+//! A forward pass binds every parameter once ([`ChebConvLstmCell::bind`])
+//! and stacks the per-gate filters into a few wide matrices: per order `k`
+//! the input filters of all gates side by side (`d_in × G·h`), the
+//! recurrent filters as one `((K+1)·h) × G·h` block, and one bias row.
+//! Each step then computes the gates' input half as
+//! `Σ_k T_k(Δ̃)·(X_t·W_k)` — `X_t·W_k` as a sparse snapshot product, the
+//! sum by Clenshaw's recurrence ([`ChebOperands::cheb_sum`]) — and the
+//! recurrent half as one matmul `[T_0·h | … | T_K·h] · U`, and slices the
+//! gate pre-activations out of the sum. Parameters stay registered per
+//! gate and per order, so the checkpoint layout does not depend on the
+//! stacking.
 //!
 //! The LSTM variant includes the paper's peephole terms `V ⊙ c_{t-1}`
 //! (Eq. 12); we parameterize each peephole as a `1 x d_h` vector broadcast
@@ -24,13 +35,13 @@ use std::sync::Arc;
 
 use cascn_autograd::{ParamId, ParamStore, Tape, Var};
 use cascn_graph::SpectralBasis;
-use cascn_tensor::{Matrix, SparseOp};
+use cascn_tensor::{Csr, Matrix, SparseOp};
 use rand::rngs::StdRng;
 
 use crate::init;
 
-/// One graph-convolutional gate: `K+1` input filters, `K+1` recurrent
-/// filters, and a bias.
+/// One graph-convolutional gate's parameters: `K+1` input filters, `K+1`
+/// recurrent filters, and a bias.
 #[derive(Debug, Clone)]
 struct ConvGate {
     w: Vec<ParamId>,
@@ -56,40 +67,46 @@ impl ConvGate {
         let b = store.register(format!("{name}.b"), Matrix::zeros(1, d_h));
         Self { w, u, b }
     }
+}
 
-    /// `Σ_k conv_x[k]·W_k + Σ_k conv_h[k]·U_k + b` where `conv_x[k] =
-    /// T_k(Δ̃)·x` and `conv_h[k] = T_k(Δ̃)·h` are shared across gates.
-    fn pre_activation(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        conv_x: &[Var],
-        conv_h: &[Var],
-    ) -> Var {
-        debug_assert_eq!(conv_x.len(), self.w.len());
-        debug_assert_eq!(conv_h.len(), self.u.len());
-        let mut acc: Option<Var> = None;
-        for (cx, &wid) in conv_x.iter().zip(&self.w) {
-            let w = tape.param(store, wid);
-            let term = tape.matmul(*cx, w);
-            acc = Some(match acc {
-                Some(a) => tape.add(a, term),
-                None => term,
-            });
-        }
-        for (ch, &uid) in conv_h.iter().zip(&self.u) {
-            let u = tape.param(store, uid);
-            let term = tape.matmul(*ch, u);
-            acc = Some(match acc {
-                Some(a) => tape.add(a, term),
-                None => term,
-            });
-        }
-        let b = tape.param(store, self.b);
-        // lint: allow(no-panic) — the weight bank has K+1 ≥ 1 entries by construction
-        let pre = acc.expect("at least one Chebyshev order");
-        tape.add_bias(pre, b)
+/// Binds `ids` and places them side by side.
+fn bind_cols(tape: &mut Tape, store: &ParamStore, ids: impl Iterator<Item = ParamId>) -> Var {
+    let parts: Vec<Var> = ids.map(|id| tape.param(store, id)).collect();
+    match parts[..] {
+        [single] => single,
+        _ => tape.concat_cols(&parts),
     }
+}
+
+/// The gates' input filters stacked per order: entry `k` is
+/// `[W_{g_1,k} | W_{g_2,k} | …]`, `d_in × G·h`.
+fn stack_input_filters(tape: &mut Tape, store: &ParamStore, gates: &[&ConvGate]) -> Vec<Var> {
+    (0..gates[0].w.len())
+        .map(|k| bind_cols(tape, store, gates.iter().map(|g| g.w[k])))
+        .collect()
+}
+
+/// The gates' recurrent filters as one `((K+1)·h) × G·h` matrix whose row
+/// block `k` is `[U_{g_1,k} | U_{g_2,k} | …]` — the right operand of
+/// `[T_0·h | … | T_K·h]`.
+fn stack_recurrent_filters(tape: &mut Tape, store: &ParamStore, gates: &[&ConvGate]) -> Var {
+    let blocks: Vec<Var> = (0..gates[0].u.len())
+        .map(|k| bind_cols(tape, store, gates.iter().map(|g| g.u[k])))
+        .collect();
+    tape.concat_rows(&blocks)
+}
+
+/// `Σ_k T_k(Δ̃)·(X·W_k)` — the input half of stacked gates, `n × G·h`.
+fn input_product(tape: &mut Tape, operands: &ChebOperands, x: &Arc<Csr>, w: &[Var]) -> Var {
+    let ys: Vec<Var> = w.iter().map(|&wk| tape.spmm(Arc::clone(x), wk)).collect();
+    operands.cheb_sum(tape, &ys)
+}
+
+/// `[T_0·h | … | T_K·h] · U` — the recurrent half of a stacked gate.
+fn recurrent_product(tape: &mut Tape, operands: &ChebOperands, h: Var, u: Var) -> Var {
+    let stack = operands.conv_stack(tape, h);
+    let conv = tape.concat_cols(&stack);
+    tape.matmul(conv, u)
 }
 
 /// Enters the per-cascade Chebyshev bases `T_k(Δ̃_c)` on a tape as constants.
@@ -99,17 +116,17 @@ pub fn bases_to_vars(tape: &mut Tape, bases: &[Matrix]) -> Vec<Var> {
 
 /// The per-cascade spectral operand a ChebConv cell convolves against —
 /// either the sparse scaled Laplacian (operator form) or the materialized
-/// dense bases (legacy form). Both produce the same `K+1`-long convolution
-/// stack `[T_0·X, …, T_K·X]`; they differ only in cost and float rounding.
+/// dense bases (legacy form). Both produce the same convolutions; they
+/// differ only in cost and float rounding.
 #[derive(Debug, Clone)]
 pub enum ChebOperands {
-    /// Materialized `T_k(Δ̃_c)` tape constants, length `K+1` — each stack
-    /// entry is one dense `n×n · n×d` product. Kept for gradient checking
-    /// and the `ChebKernel::Dense` compatibility mode.
+    /// Materialized `T_k(Δ̃_c)` tape constants, length `K+1` — each term is
+    /// one dense `n×n · n×d` product. Kept for gradient checking and the
+    /// `ChebKernel::Dense` compatibility mode.
     Dense(Vec<Var>),
-    /// The scaled Laplacian itself; the stack is built by the feature-block
-    /// recurrence `T_k·X = 2·Δ̃·(T_{k-1}·X) − T_{k-2}·X` with `K` sparse
-    /// applications, never touching an `n×n` intermediate.
+    /// The scaled Laplacian itself; Chebyshev terms come from three-term
+    /// recurrences with `K` sparse applications, never touching an `n×n`
+    /// intermediate.
     Sparse {
         /// `Δ̃_c` shared across every application this cell records.
         op: Arc<SparseOp>,
@@ -132,7 +149,7 @@ impl ChebOperands {
         }
     }
 
-    /// Number of stack entries this operand produces (`K + 1`).
+    /// Number of Chebyshev terms this operand carries (`K + 1`).
     pub fn len(&self) -> usize {
         match self {
             Self::Dense(bases) => bases.len(),
@@ -140,8 +157,8 @@ impl ChebOperands {
         }
     }
 
-    /// Whether the operand produces an empty stack (never true for a
-    /// well-formed operand — `K + 1 ≥ 1`).
+    /// Whether the operand carries no terms (never true for a well-formed
+    /// operand — `K + 1 ≥ 1`).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -169,12 +186,70 @@ impl ChebOperands {
             }
         }
     }
+
+    /// `Σ_k T_k(Δ̃)·Y_k` for `ys = [Y_0, …, Y_K]` — Eq. 12's input
+    /// convolution `Σ_k T_k·X·W_k` reassociated as `Σ_k T_k·(X·W_k)`, so
+    /// the wide snapshot `X` is multiplied only by filters and `Δ̃` only
+    /// touches `n × G·h` blocks.
+    ///
+    /// Sparse operands run Clenshaw's recurrence
+    /// `b_k = Y_k + 2Δ̃·b_{k+1} − b_{k+2}` (`b_{K+1} = b_{K+2} = 0`) down to
+    /// `k = 1` and return `Y_0 + Δ̃·b_1 − b_2`: `K` sparse applications, the
+    /// same as one [`ChebOperands::conv_stack`]. Dense operands sum
+    /// `B_k·Y_k` directly.
+    ///
+    /// # Panics
+    /// Panics unless `ys` has `K + 1` entries.
+    pub fn cheb_sum(&self, tape: &mut Tape, ys: &[Var]) -> Var {
+        assert_eq!(ys.len(), self.len(), "cheb_sum: expected K+1 blocks");
+        match self {
+            Self::Dense(bases) => {
+                let mut acc = tape.matmul(bases[0], ys[0]);
+                for (&b, &y) in bases.iter().zip(ys).skip(1) {
+                    let term = tape.matmul(b, y);
+                    acc = tape.add(acc, term);
+                }
+                acc
+            }
+            Self::Sparse { op, k } => {
+                // (b_{i+1}, b_{i+2}); `None` stands for the zero block.
+                let (mut b1, mut b2): (Option<Var>, Option<Var>) = (None, None);
+                for i in (1..=*k).rev() {
+                    let mut b = ys[i];
+                    if let Some(next) = b1 {
+                        let applied = tape.sparse_apply(Arc::clone(op), next);
+                        let doubled = tape.scale(applied, 2.0);
+                        b = tape.add(b, doubled);
+                    }
+                    if let Some(after) = b2 {
+                        b = tape.sub(b, after);
+                    }
+                    (b1, b2) = (Some(b), b1);
+                }
+                let mut out = ys[0];
+                if let Some(next) = b1 {
+                    let applied = tape.sparse_apply(Arc::clone(op), next);
+                    out = tape.add(out, applied);
+                }
+                if let Some(after) = b2 {
+                    out = tape.sub(out, after);
+                }
+                out
+            }
+        }
+    }
 }
 
-/// Broadcasts a `1 x d` parameter row over `n` node rows.
-fn tile_rows(tape: &mut Tape, row: Var, n: usize) -> Var {
-    let ones = tape.constant(Matrix::full(n, 1, 1.0));
-    tape.matmul(ones, row)
+/// A [`ChebConvLstmCell`]'s parameters bound on one tape, stacked in gate
+/// order `[i | f | o | c]`.
+#[derive(Debug, Clone)]
+pub struct LstmWeights {
+    w: Vec<Var>,
+    u: Var,
+    b: Var,
+    peep_i: Var,
+    peep_f: Var,
+    peep_o: Var,
 }
 
 /// The CasCN graph-convolutional LSTM cell of Eq. 12–14 (with peepholes).
@@ -239,49 +314,59 @@ impl ChebConvLstmCell {
         (h, c)
     }
 
+    /// Binds every parameter of the cell on `tape` once and stacks the
+    /// gates; one binding serves every step of a forward pass.
+    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> LstmWeights {
+        let gates = [&self.input, &self.forget, &self.output, &self.cell];
+        LstmWeights {
+            w: stack_input_filters(tape, store, &gates),
+            u: stack_recurrent_filters(tape, store, &gates),
+            b: bind_cols(tape, store, gates.iter().map(|g| g.b)),
+            peep_i: tape.param(store, self.peep_i),
+            peep_f: tape.param(store, self.peep_f),
+            peep_o: tape.param(store, self.peep_o),
+        }
+    }
+
     /// One timestep over a cascade snapshot.
     ///
     /// `operands` carry the cascade's spectral operator (sparse or dense,
-    /// producing a `K+1` convolution stack), `x` is the `n x d_in` snapshot
-    /// signal, and the state matrices are `n x d_h`.
+    /// `K+1` Chebyshev terms), `x` is the `n x d_in` sparse snapshot signal,
+    /// and the state matrices are `n x d_h`.
     pub fn step(
         &self,
         tape: &mut Tape,
-        store: &ParamStore,
+        weights: &LstmWeights,
         operands: &ChebOperands,
-        x: Var,
+        x: &Arc<Csr>,
         (h, c): (Var, Var),
     ) -> (Var, Var) {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
-        let n = tape.value(x).rows();
-        let conv_x = operands.conv_stack(tape, x);
-        let conv_h = operands.conv_stack(tape, h);
+        let d = self.d_h;
+        let input = input_product(tape, operands, x, &weights.w);
+        let recurrent = recurrent_product(tape, operands, h, weights.u);
+        let sum = tape.add(input, recurrent);
+        let pre = tape.add_bias(sum, weights.b);
 
-        let peep = |tape: &mut Tape, id: ParamId, cell_state: Var| {
-            let v = tape.param(store, id);
-            let tiled = tile_rows(tape, v, n);
-            tape.hadamard(tiled, cell_state)
-        };
-
-        let i_pre = self.input.pre_activation(tape, store, &conv_x, &conv_h);
-        let i_peep = peep(tape, self.peep_i, c);
+        let i_pre = tape.slice_cols(pre, 0, d);
+        let i_peep = tape.mul_row(c, weights.peep_i);
         let i_sum = tape.add(i_pre, i_peep);
         let i = tape.sigmoid(i_sum);
 
-        let f_pre = self.forget.pre_activation(tape, store, &conv_x, &conv_h);
-        let f_peep = peep(tape, self.peep_f, c);
+        let f_pre = tape.slice_cols(pre, d, d);
+        let f_peep = tape.mul_row(c, weights.peep_f);
         let f_sum = tape.add(f_pre, f_peep);
         let f = tape.sigmoid(f_sum);
 
-        let g_pre = self.cell.pre_activation(tape, store, &conv_x, &conv_h);
+        let g_pre = tape.slice_cols(pre, 3 * d, d);
         let g = tape.tanh(g_pre);
 
         let fc = tape.hadamard(f, c);
         let ig = tape.hadamard(i, g);
         let c_next = tape.add(fc, ig);
 
-        let o_pre = self.output.pre_activation(tape, store, &conv_x, &conv_h);
-        let o_peep = peep(tape, self.peep_o, c_next);
+        let o_pre = tape.slice_cols(pre, 2 * d, d);
+        let o_peep = tape.mul_row(c_next, weights.peep_o);
         let o_sum = tape.add(o_pre, o_peep);
         let o = tape.sigmoid(o_sum);
 
@@ -290,23 +375,38 @@ impl ChebConvLstmCell {
         (h_next, c_next)
     }
 
-    /// Runs a snapshot sequence, returning every hidden state.
+    /// Runs a snapshot sequence, returning every hidden state. The state
+    /// spans the snapshots' `n` rows.
     pub fn run(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         operands: &ChebOperands,
-        inputs: &[Var],
-        n: usize,
+        snapshots: &[Arc<Csr>],
     ) -> Vec<Var> {
-        let mut state = self.zero_state(tape, n);
-        let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            state = self.step(tape, store, operands, x, state);
+        let Some(first) = snapshots.first() else {
+            return Vec::new();
+        };
+        let weights = self.bind(tape, store);
+        let mut state = self.zero_state(tape, first.rows());
+        let mut hs = Vec::with_capacity(snapshots.len());
+        for x in snapshots {
+            state = self.step(tape, &weights, operands, x, state);
             hs.push(state.0);
         }
         hs
     }
+}
+
+/// A [`ChebConvGruCell`]'s parameters bound on one tape: input filters and
+/// biases stacked in gate order `[z | r | h̃]`, recurrent filters split into
+/// the `[z | r]` stack and the candidate's own.
+#[derive(Debug, Clone)]
+pub struct GruWeights {
+    w: Vec<Var>,
+    u_zr: Var,
+    u_cand: Var,
+    b: Var,
 }
 
 /// The GRU variant of the CasCN cell (the paper's `CasCN-GRU` ablation):
@@ -361,52 +461,68 @@ impl ChebConvGruCell {
         tape.constant(Matrix::zeros(n, self.d_h))
     }
 
-    /// One timestep over a cascade snapshot.
+    /// Binds every parameter of the cell on `tape` once and stacks the
+    /// gates; one binding serves every step of a forward pass.
+    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> GruWeights {
+        let gates = [&self.update, &self.reset, &self.candidate];
+        GruWeights {
+            w: stack_input_filters(tape, store, &gates),
+            u_zr: stack_recurrent_filters(tape, store, &gates[..2]),
+            u_cand: stack_recurrent_filters(tape, store, &gates[2..]),
+            b: bind_cols(tape, store, gates.iter().map(|g| g.b)),
+        }
+    }
+
+    /// One timestep over a sparse cascade snapshot.
     pub fn step(
         &self,
         tape: &mut Tape,
-        store: &ParamStore,
+        weights: &GruWeights,
         operands: &ChebOperands,
-        x: Var,
+        x: &Arc<Csr>,
         h: Var,
     ) -> Var {
         assert_eq!(operands.len(), self.k + 1, "expected K+1 Chebyshev bases");
-        let conv_x = operands.conv_stack(tape, x);
-        let conv_h = operands.conv_stack(tape, h);
+        let d = self.d_h;
+        let input = input_product(tape, operands, x, &weights.w);
+        let input = tape.add_bias(input, weights.b);
 
-        let z_pre = self.update.pre_activation(tape, store, &conv_x, &conv_h);
-        let z = tape.sigmoid(z_pre);
-        let r_pre = self.reset.pre_activation(tape, store, &conv_x, &conv_h);
-        let r = tape.sigmoid(r_pre);
+        let zr_in = tape.slice_cols(input, 0, 2 * d);
+        let zr_rec = recurrent_product(tape, operands, h, weights.u_zr);
+        let zr_pre = tape.add(zr_in, zr_rec);
+        let zr = tape.sigmoid(zr_pre);
+        let z = tape.slice_cols(zr, 0, d);
+        let r = tape.slice_cols(zr, d, d);
 
         let rh = tape.hadamard(r, h);
-        let conv_rh = operands.conv_stack(tape, rh);
-        let cand_pre = self
-            .candidate
-            .pre_activation(tape, store, &conv_x, &conv_rh);
+        let cand_in = tape.slice_cols(input, 2 * d, d);
+        let cand_rec = recurrent_product(tape, operands, rh, weights.u_cand);
+        let cand_pre = tape.add(cand_in, cand_rec);
         let cand = tape.tanh(cand_pre);
 
-        let (n, d) = tape.value(h).shape();
-        let ones = tape.constant(Matrix::full(n, d, 1.0));
-        let one_minus_z = tape.sub(ones, z);
-        let keep = tape.hadamard(one_minus_z, h);
-        let update = tape.hadamard(z, cand);
-        tape.add(keep, update)
+        // (1 − z)⊙h + z⊙h̃ = h + z⊙(h̃ − h)
+        let delta = tape.sub(cand, h);
+        let update = tape.hadamard(z, delta);
+        tape.add(h, update)
     }
 
-    /// Runs a snapshot sequence, returning every hidden state.
+    /// Runs a snapshot sequence, returning every hidden state. The state
+    /// spans the snapshots' `n` rows.
     pub fn run(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         operands: &ChebOperands,
-        inputs: &[Var],
-        n: usize,
+        snapshots: &[Arc<Csr>],
     ) -> Vec<Var> {
-        let mut h = self.zero_state(tape, n);
-        let mut hs = Vec::with_capacity(inputs.len());
-        for &x in inputs {
-            h = self.step(tape, store, operands, x, h);
+        let Some(first) = snapshots.first() else {
+            return Vec::new();
+        };
+        let weights = self.bind(tape, store);
+        let mut h = self.zero_state(tape, first.rows());
+        let mut hs = Vec::with_capacity(snapshots.len());
+        for x in snapshots {
+            h = self.step(tape, &weights, operands, x, h);
             hs.push(h);
         }
         hs
@@ -418,6 +534,10 @@ mod tests {
     use super::*;
     use cascn_graph::{laplacian, DiGraph};
     use rand::SeedableRng;
+
+    fn snapshot(m: &Matrix) -> Arc<Csr> {
+        Arc::new(Csr::from_dense(m))
+    }
 
     fn fig1_bases(k: usize) -> Vec<Matrix> {
         let mut g = DiGraph::new(6);
@@ -437,9 +557,15 @@ mod tests {
         let cell = ChebConvLstmCell::new(&mut store, "cc", 2, 6, 4, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(2));
-        let x = tape.constant(Matrix::eye(6));
+        let weights = cell.bind(&mut tape, &store);
         let state = cell.zero_state(&mut tape, 6);
-        let (h, c) = cell.step(&mut tape, &store, &operands, x, state);
+        let (h, c) = cell.step(
+            &mut tape,
+            &weights,
+            &operands,
+            &snapshot(&Matrix::eye(6)),
+            state,
+        );
         assert_eq!(tape.value(h).shape(), (6, 4));
         assert_eq!(tape.value(c).shape(), (6, 4));
     }
@@ -452,9 +578,15 @@ mod tests {
         let cell = ChebConvLstmCell::new(&mut store, "cc", 2, 6, 4, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(1)); // wrong: K=1
-        let x = tape.constant(Matrix::eye(6));
+        let weights = cell.bind(&mut tape, &store);
         let state = cell.zero_state(&mut tape, 6);
-        let _ = cell.step(&mut tape, &store, &operands, x, state);
+        let _ = cell.step(
+            &mut tape,
+            &weights,
+            &operands,
+            &snapshot(&Matrix::eye(6)),
+            state,
+        );
     }
 
     #[test]
@@ -464,8 +596,8 @@ mod tests {
         let cell = ChebConvGruCell::new(&mut store, "cg", 1, 6, 3, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(1));
-        let inputs: Vec<Var> = (0..4).map(|_| tape.constant(Matrix::eye(6))).collect();
-        let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
+        let inputs = vec![snapshot(&Matrix::eye(6)); 4];
+        let hs = cell.run(&mut tape, &store, &operands, &inputs);
         assert_eq!(hs.len(), 4);
         assert!(tape.value(hs[3]).all_finite());
     }
@@ -477,10 +609,8 @@ mod tests {
         let cell = ChebConvLstmCell::new(&mut store, "cc", 1, 6, 3, &mut rng);
         let mut tape = Tape::new();
         let operands = ChebOperands::dense(&mut tape, &fig1_bases(1));
-        let inputs: Vec<Var> = (0..3).map(|_| {
-            tape.constant(Matrix::from_fn(6, 6, |r, c| ((r + c) % 3) as f32 * 0.2))
-        }).collect();
-        let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
+        let inputs = vec![snapshot(&Matrix::from_fn(6, 6, |r, c| ((r + c) % 3) as f32 * 0.2)); 3];
+        let hs = cell.run(&mut tape, &store, &operands, &inputs);
         let pooled = tape.sum_rows(*hs.last().unwrap());
         let sq = tape.sqr(pooled);
         let loss = tape.sum_all(sq);
@@ -519,10 +649,8 @@ mod tests {
             let bases_m = laplacian::chebyshev_bases(&scaled, 2);
             let mut tape = Tape::new();
             let operands = ChebOperands::dense(&mut tape, &bases_m);
-            let x = tape.constant(Matrix::eye(4));
-            let state = cell.zero_state(&mut tape, 4);
-            let (h, _) = cell.step(&mut tape, store, &operands, x, state);
-            tape.value(h).clone()
+            let hs = cell.run(&mut tape, store, &operands, &[snapshot(&Matrix::eye(4))]);
+            tape.value(hs[0]).clone()
         };
 
         let fwd = run(&[(0, 1), (1, 2), (2, 3)], &store, &cell);
@@ -573,6 +701,36 @@ mod tests {
     }
 
     #[test]
+    fn cheb_sum_matches_summed_conv_stacks_for_every_order() {
+        // Σ_k T_k·Y_k from Clenshaw (sparse) and from the dense bases must
+        // both equal Σ_k (k-th entry of conv_stack(Y_k)), for K = 0..3.
+        for k in 0..=3 {
+            let basis = fig1_basis(k);
+            let dense_bases = basis.materialize();
+            let mut tape = Tape::new();
+            let sparse = ChebOperands::sparse(&basis);
+            let dense = ChebOperands::dense(&mut tape, &dense_bases);
+            let ys: Vec<Var> = (0..=k)
+                .map(|i| {
+                    tape.constant(Matrix::from_fn(6, 3, |r, c| {
+                        ((r * 3 + c + i) % 7) as f32 * 0.3 - 0.9
+                    }))
+                })
+                .collect();
+            let mut expect = Matrix::zeros(6, 3);
+            for (i, &y) in ys.iter().enumerate() {
+                let stack = sparse.conv_stack(&mut tape, y);
+                expect.axpy(1.0, tape.value(stack[i]));
+            }
+            for operands in [&sparse, &dense] {
+                let got = operands.cheb_sum(&mut tape, &ys);
+                let diff = tape.value(got).sub(&expect).max_abs();
+                assert!(diff < 1e-5, "K = {k}: cheb_sum off by {diff}");
+            }
+        }
+    }
+
+    #[test]
     fn lstm_sparse_step_matches_dense_within_tolerance() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(7);
@@ -582,9 +740,8 @@ mod tests {
         let run = |operands_of: &dyn Fn(&mut Tape) -> ChebOperands| {
             let mut tape = Tape::new();
             let operands = operands_of(&mut tape);
-            let x = tape.constant(Matrix::eye(6));
-            let inputs = [x, x, x];
-            let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
+            let inputs = vec![snapshot(&Matrix::eye(6)); 3];
+            let hs = cell.run(&mut tape, &store, &operands, &inputs);
             tape.value(*hs.last().unwrap()).clone()
         };
 
@@ -606,10 +763,9 @@ mod tests {
         let basis = fig1_basis(2);
         let mut tape = Tape::new();
         let operands = ChebOperands::sparse(&basis);
-        let inputs: Vec<Var> = (0..3)
-            .map(|_| tape.constant(Matrix::from_fn(6, 6, |r, c| ((r + 2 * c) % 4) as f32 * 0.25)))
-            .collect();
-        let hs = cell.run(&mut tape, &store, &operands, &inputs, 6);
+        let inputs =
+            vec![snapshot(&Matrix::from_fn(6, 6, |r, c| ((r + 2 * c) % 4) as f32 * 0.25)); 3];
+        let hs = cell.run(&mut tape, &store, &operands, &inputs);
         let pooled = tape.sum_rows(*hs.last().unwrap());
         let sq = tape.sqr(pooled);
         let loss = tape.sum_all(sq);

@@ -43,18 +43,17 @@ impl TimeDecay {
         ((t / width) as usize).min(self.intervals - 1)
     }
 
+    /// Binds the multiplier table on `tape`; bind once per forward pass and
+    /// hand the result to every [`TimeDecay::apply`].
+    pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> Var {
+        tape.param(store, self.lambdas)
+    }
+
     /// Scales the hidden state `h` (taken at snapshot time `t`) by the
-    /// learned `λ_m` of its interval (Eq. 16).
-    pub fn apply(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: Var,
-        t: f64,
-        window: f64,
-    ) -> Var {
+    /// learned `λ_m` of its interval (Eq. 16). `table` is this decay's
+    /// [`TimeDecay::bind`] result.
+    pub fn apply(&self, tape: &mut Tape, table: Var, h: Var, t: f64, window: f64) -> Var {
         let m = self.interval_of(t, window);
-        let table = tape.param(store, self.lambdas);
         let lambda = tape.gather(table, vec![m]);
         tape.scalar_mul(lambda, h)
     }
@@ -89,8 +88,9 @@ mod tests {
         store.value_mut(store.ids().next().unwrap()).as_mut_slice()[1] = 0.5;
         let mut tape = Tape::new();
         let h = tape.constant(Matrix::full(2, 3, 4.0));
+        let table = decay.bind(&mut tape, &store);
         // t in second half → λ_1 = 0.5.
-        let scaled = decay.apply(&mut tape, &store, h, 75.0, 100.0);
+        let scaled = decay.apply(&mut tape, table, h, 75.0, 100.0);
         assert_eq!(tape.value(scaled)[(0, 0)], 2.0);
     }
 
@@ -100,7 +100,8 @@ mod tests {
         let decay = TimeDecay::new(&mut store, "d", 3);
         let mut tape = Tape::new();
         let h = tape.constant(Matrix::full(1, 2, 1.5));
-        let scaled = decay.apply(&mut tape, &store, h, 10.0, 30.0);
+        let table = decay.bind(&mut tape, &store);
+        let scaled = decay.apply(&mut tape, table, h, 10.0, 30.0);
         let loss = tape.sum_all(scaled);
         tape.backward(loss);
         tape.accumulate_param_grads(&mut store);

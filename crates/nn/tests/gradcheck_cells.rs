@@ -1,12 +1,15 @@
 //! Finite-difference verification of the recurrent cells — the strongest
 //! correctness guarantee for the CasCN training stack: the analytic
 //! gradients of a full multi-step ChebConv-LSTM/GRU/LSTM/GRU rollout must
-//! match central differences.
+//! match central differences. The ChebConv cells are fed sparse snapshot
+//! signals, as in the model.
+
+use std::sync::Arc;
 
 use cascn_autograd::{assert_gradients_close, ParamStore, Tape, Var};
 use cascn_graph::{laplacian, DiGraph, SpectralBasis};
 use cascn_nn::{ChebConvGruCell, ChebConvLstmCell, ChebOperands, GruCell, LstmCell};
-use cascn_tensor::Matrix;
+use cascn_tensor::{Csr, Matrix};
 
 fn chain_basis(n: usize, k: usize) -> SpectralBasis {
     let mut g = DiGraph::new(n);
@@ -17,12 +20,14 @@ fn chain_basis(n: usize, k: usize) -> SpectralBasis {
     SpectralBasis::from_laplacian(&lap, None, k)
 }
 
-fn snapshot_inputs(tape: &mut Tape, n: usize, d: usize, steps: usize) -> Vec<Var> {
+/// `steps` sparse `n x d` signals; the `(r·7 + c·3 + t) mod 5 = 2` entries
+/// are structural zeros.
+fn snapshot_inputs(n: usize, d: usize, steps: usize) -> Vec<Arc<Csr>> {
     (0..steps)
         .map(|t| {
-            tape.constant(Matrix::from_fn(n, d, |r, c| {
+            Arc::new(Csr::from_dense(&Matrix::from_fn(n, d, |r, c| {
                 ((r * 7 + c * 3 + t) % 5) as f32 * 0.2 - 0.4
-            }))
+            })))
         })
         .collect()
 }
@@ -37,6 +42,7 @@ fn chebconv_lstm_gradcheck(sparse: bool) {
     let cell = ChebConvLstmCell::new(&mut store, "cc", k, d_in, d_h, &mut rng);
     let basis = chain_basis(n, k);
     let dense_bases = basis.materialize();
+    let inputs = snapshot_inputs(n, d_in, steps);
 
     let run = move |tape: &mut Tape, store: &ParamStore| {
         let operands = if sparse {
@@ -44,8 +50,7 @@ fn chebconv_lstm_gradcheck(sparse: bool) {
         } else {
             ChebOperands::dense(tape, &dense_bases)
         };
-        let inputs = snapshot_inputs(tape, n, d_in, steps);
-        let hs = cell.run(tape, store, &operands, &inputs, n);
+        let hs = cell.run(tape, store, &operands, &inputs);
         let pooled = tape.sum_rows(*hs.last().unwrap());
         let sq = tape.sqr(pooled);
         tape.sum_all(sq)
@@ -87,6 +92,7 @@ fn chebconv_gru_gradcheck(sparse: bool) {
     let cell = ChebConvGruCell::new(&mut store, "cg", k, d_in, d_h, &mut rng);
     let basis = chain_basis(n, k);
     let dense_bases = basis.materialize();
+    let inputs = snapshot_inputs(n, d_in, steps);
 
     let run = move |tape: &mut Tape, store: &ParamStore| {
         let operands = if sparse {
@@ -94,8 +100,7 @@ fn chebconv_gru_gradcheck(sparse: bool) {
         } else {
             ChebOperands::dense(tape, &dense_bases)
         };
-        let inputs = snapshot_inputs(tape, n, d_in, steps);
-        let hs = cell.run(tape, store, &operands, &inputs, n);
+        let hs = cell.run(tape, store, &operands, &inputs);
         let pooled = tape.sum_rows(*hs.last().unwrap());
         let sq = tape.sqr(pooled);
         tape.sum_all(sq)
